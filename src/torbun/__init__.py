@@ -10,10 +10,7 @@ from .algebra import (
     AlgebraElement,
     GradedAlgebra,
     MixingMap,
-    delta,
-    delta_extend,
     make_free_truncated,
-    mul,
     point_algebra,
     projective_space_algebra,
 )
@@ -80,7 +77,6 @@ from .polyhedra import Polyhedron
 from .polynomials import LinearFraction, Polynomial, divide_exact
 from .presentations import (
     Presentation,
-    Relation,
     RingElement,
     equivariant_presentation,
     homology_presentation,
@@ -92,6 +88,7 @@ from .problem import Problem, ProblemError, parse_problem
 from .weights import (
     BalancingReport,
     MinkowskiWeight,
+    Relation,
     StratumClassSum,
     balancing_sides,
     check_balancing,
@@ -102,5 +99,3 @@ from .weights import (
     subbundle_class,
     unit_weight,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

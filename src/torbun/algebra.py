@@ -8,7 +8,7 @@ extends multiplicatively to polynomials.
 
 from __future__ import annotations
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, power, signed_sum
 
 
 class GradedAlgebra:
@@ -80,16 +80,8 @@ class GradedAlgebra:
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, {0: 1})
 
-    @property
-    def fundamental_class(self) -> "AlgebraElement":
-        """The class of the base itself (the unit under Poincare duality)."""
-        return self.one()
-
     def basis_element(self, name: str) -> "AlgebraElement":
         return AlgebraElement(self, {self.index[name]: 1})
-
-    def element(self, coeffs_by_name: dict) -> "AlgebraElement":
-        return AlgebraElement(self, {self.index[n]: c for n, c in coeffs_by_name.items()})
 
     def basis_of_degree(self, d: int):
         return [i for i, deg in enumerate(self.degrees) if deg == d]
@@ -240,10 +232,7 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = self.algebra.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, self.algebra.one())
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -258,32 +247,13 @@ class AlgebraElement:
         return hash(frozenset(self.coeffs.items()))
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in sorted(self.coeffs):
-            c = self.coeffs[i]
-            name = self.algebra.names[i]
-            if name == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = name
-            else:
-                body = f"{abs(c)}*{name}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        names = self.algebra.names
+        return signed_sum(
+            (self.coeffs[i], "" if names[i] == "1" else names[i]) for i in sorted(self.coeffs)
+        )
 
     def __repr__(self):
         return f"AlgebraElement({self.render()})"
-
-
-def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Product in the base ring (bilinear extension of the basis table)."""
-    return x * y
 
 
 class MixingMap:
@@ -332,11 +302,3 @@ class MixingMap:
 
     def __hash__(self):
         return hash((self.algebra, self.images))
-
-
-def delta(mix: MixingMap, m) -> AlgebraElement:
-    return mix.delta(m)
-
-
-def delta_extend(mix: MixingMap, f: Polynomial) -> AlgebraElement:
-    return mix.delta_extend(f)

@@ -25,8 +25,16 @@ from .errors import (
     ResidueNotPolynomial,
     TorbunError,
 )
-from .fans import Cone, Fan, find_generic_vector, is_complete, is_generic_diagonal, multiplicity
-from .polynomials import Polynomial
+from .fans import (
+    Cone,
+    Fan,
+    find_generic_vector,
+    is_complete,
+    is_generic_diagonal,
+    multiplicity,
+    sigma_v_set,
+)
+from .polynomials import Polynomial, signed_sum
 from .presentations import equivariant_presentation, homology_presentation, poincare_dual_mw
 from .problem import (
     Problem,
@@ -62,19 +70,10 @@ def _wrap(text: str) -> str:
 
 
 def render_relation(fan: Fan, relation) -> str:
-    parts = []
-    for cone in sorted(relation.lhs, key=fan.cone_sort_key):
-        c = relation.lhs[cone]
-        name = stratum_name(fan, cone)
-        body = name if abs(c) == 1 else f"{abs(c)}*{name}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        lhs = "0"
-    else:
-        sign, body = parts[0]
-        lhs = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            lhs += f" {sign} {body}"
+    lhs = signed_sum(
+        (relation.lhs[cone], stratum_name(fan, cone))
+        for cone in sorted(relation.lhs, key=fan.cone_sort_key)
+    )
     pieces = []
     if not relation.rhs.is_zero():
         pieces.append(f"p*{_wrap(relation.rhs.render())}")
@@ -153,14 +152,19 @@ def _base_document(command: str, path: str, data: bytes, flags: dict) -> dict:
     }
 
 
+def _parse_v(problem: Problem, text: str) -> tuple:
+    try:
+        v = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ProblemError(f"--v must be a comma-separated integer vector, got {text!r}") from None
+    if len(v) != problem.lattice_rank:
+        raise ProblemError(f"--v must have {problem.lattice_rank} entries, got {text!r}")
+    return v
+
+
 def _pick_displacement(problem: Problem, args, rng) -> tuple:
-    if getattr(args, "v", None):
-        try:
-            v = tuple(int(p) for p in args.v.split(","))
-        except ValueError as exc:
-            raise ProblemError(f"--v must be a comma-separated integer vector: {exc}") from exc
-        if len(v) != problem.lattice_rank:
-            raise ProblemError(f"--v must have {problem.lattice_rank} entries")
+    if args.v:
+        v = _parse_v(problem, args.v)
         if not is_generic_diagonal(problem.fan, v):
             raise NonGenericVector(f"supplied vector {list(v)} failed genericity certification")
         return v, 0
@@ -172,7 +176,7 @@ def _pick_displacement(problem: Problem, args, rng) -> tuple:
     return find_generic_vector(problem.fan, rng)
 
 
-def cmd_check_fan(problem: Problem, args, doc: dict) -> int:
+def cmd_check_fan(problem: Problem, args, doc: dict, rng) -> int:
     fan = problem.fan
     doc["outputs"] = {
         "valid": True,
@@ -187,7 +191,7 @@ def cmd_check_fan(problem: Problem, args, doc: dict) -> int:
     return EXIT_OK
 
 
-def cmd_check_balancing(problem: Problem, args, doc: dict) -> int:
+def cmd_check_balancing(problem: Problem, args, doc: dict, rng) -> int:
     if not problem.weight_specs:
         raise ProblemError("check-balancing needs a 'weights' section")
     results = {}
@@ -248,7 +252,7 @@ def cmd_mw_product(problem: Problem, args, doc: dict, rng) -> int:
     return EXIT_OK
 
 
-def cmd_pp_to_mw(problem: Problem, args, doc: dict) -> int:
+def cmd_pp_to_mw(problem: Problem, args, doc: dict, rng) -> int:
     f = problem.piecewise()
     violations = check_pp(f)
     if violations:
@@ -262,7 +266,7 @@ def cmd_pp_to_mw(problem: Problem, args, doc: dict) -> int:
     return EXIT_OK
 
 
-def cmd_equiv_mult(problem: Problem, args, doc: dict) -> int:
+def cmd_equiv_mult(problem: Problem, args, doc: dict, rng) -> int:
     sigma = cone_from_key_string(problem.fan, args.sigma)
     tau = cone_from_key_string(problem.fan, args.tau)
     e = equivariant_multiplicity(problem.fan, sigma, tau)
@@ -275,7 +279,7 @@ def cmd_equiv_mult(problem: Problem, args, doc: dict) -> int:
     return EXIT_OK
 
 
-def cmd_residue(problem: Problem, args, doc: dict) -> int:
+def cmd_residue(problem: Problem, args, doc: dict, rng) -> int:
     f = problem.piecewise()
     fan = problem.fan
     if args.tau is not None:
@@ -288,7 +292,7 @@ def cmd_residue(problem: Problem, args, doc: dict) -> int:
     return EXIT_OK
 
 
-def cmd_presentation(problem: Problem, args, doc: dict) -> int:
+def cmd_presentation(problem: Problem, args, doc: dict, rng) -> int:
     build = equivariant_presentation if args.equivariant else homology_presentation
     pres = build(problem.fan, problem.mixing)
     fan = problem.fan
@@ -313,32 +317,15 @@ def cmd_subbundle(problem: Problem, args, doc: dict, rng) -> int:
     if problem.sublattice is None:
         raise ProblemError("subbundle needs a 'sublattice' section")
     N = problem.sublattice
-    if problem.displacement is not None or getattr(args, "v", None):
-        if getattr(args, "v", None):
-            v = tuple(int(p) for p in args.v.split(","))
-        else:
-            v = problem.displacement
-        result = subbundle_class(problem.fan, N, v)
-        attempts = 0
+    if args.v:
+        v, attempts = _parse_v(problem, args.v), 0
+    elif problem.displacement is not None:
+        v, attempts = problem.displacement, 0
     else:
-        attempts = 0
-        v = None
-        from .fans import sigma_v_set
-
-        bound = 7
-        for trial in range(1000):
-            cand = tuple(rng.randint(-bound, bound) for _ in range(problem.lattice_rank))
-            attempts += 1
-            if all(c == 0 for c in cand):
-                continue
-            if sigma_v_set(problem.fan, N, cand).generic:
-                v = cand
-                break
-            if attempts % 25 == 0:
-                bound *= 2
-        if v is None:
-            raise NonGenericVector("no generic vector found for the sublattice in 1000 attempts")
-        result = subbundle_class(problem.fan, N, v)
+        v, attempts = find_generic_vector(
+            problem.fan, rng, lambda fan, u: sigma_v_set(fan, N, u).generic
+        )
+    result = subbundle_class(problem.fan, N, v)
     doc["diagnostics"] = {"v": list(v), "search_attempts": attempts}
     doc["outputs"] = {
         cone_key_string(problem.fan, cone): coeff for cone, coeff in sorted(
@@ -346,6 +333,18 @@ def cmd_subbundle(problem: Problem, args, doc: dict, rng) -> int:
         )
     }
     return EXIT_OK
+
+
+COMMANDS = {
+    "check-fan": cmd_check_fan,
+    "check-balancing": cmd_check_balancing,
+    "mw-product": cmd_mw_product,
+    "pp-to-mw": cmd_pp_to_mw,
+    "equiv-mult": cmd_equiv_mult,
+    "residue": cmd_residue,
+    "presentation": cmd_presentation,
+    "subbundle": cmd_subbundle,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -406,24 +405,7 @@ def main(argv=None) -> int:
     doc["flags"]["seed"] = seed
     try:
         problem = parse_problem(data.decode("utf-8"), path=args.file)
-        if args.command == "check-fan":
-            code = cmd_check_fan(problem, args, doc)
-        elif args.command == "check-balancing":
-            code = cmd_check_balancing(problem, args, doc)
-        elif args.command == "mw-product":
-            code = cmd_mw_product(problem, args, doc, rng)
-        elif args.command == "pp-to-mw":
-            code = cmd_pp_to_mw(problem, args, doc)
-        elif args.command == "equiv-mult":
-            code = cmd_equiv_mult(problem, args, doc)
-        elif args.command == "residue":
-            code = cmd_residue(problem, args, doc)
-        elif args.command == "presentation":
-            code = cmd_presentation(problem, args, doc)
-        elif args.command == "subbundle":
-            code = cmd_subbundle(problem, args, doc, rng)
-        else:  # pragma: no cover
-            raise ProblemError(f"unknown command {args.command}")
+        code = COMMANDS[args.command](problem, args, doc, rng)
     except NonGenericVector as exc:
         doc["error"] = {"kind": "genericity", "message": str(exc)}
         print_document(doc, args.format)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GradedAlgebra, MixingMap
+from .algebra import MixingMap
 from .errors import FanNotComplete, ResidueNotPolynomial
 from .fans import (
     Cone,
@@ -178,11 +178,8 @@ def residue_sum(f: PiecewisePolynomial, tau: Cone) -> Polynomial:
     return out
 
 
-def pp_to_mw(f: PiecewisePolynomial, mixing: MixingMap, algebra: GradedAlgebra = None) -> MinkowskiWeight:
+def pp_to_mw(f: PiecewisePolynomial, mixing: MixingMap) -> MinkowskiWeight:
     """Non-equivariant limit: apply the twisting map to every residue sum."""
-    algebra = algebra or mixing.algebra
-    if algebra != mixing.algebra:
-        raise ValueError("algebra does not match the mixing map")
     violations = check_pp(f)
     if violations:
         s1, s2, tau = violations[0]
@@ -196,5 +193,5 @@ def pp_to_mw(f: PiecewisePolynomial, mixing: MixingMap, algebra: GradedAlgebra =
         el = mixing.delta_extend(r)
         if not el.is_zero():
             values[tau] = el
-    W = MinkowskiWeight(f.fan, algebra, mixing, f.degree, values)
+    W = MinkowskiWeight(f.fan, mixing.algebra, mixing, f.degree, values)
     return _assert_balanced(W, "pp_to_mw")

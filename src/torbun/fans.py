@@ -39,6 +39,7 @@ from .lattice import (
 from .polyhedra import Polyhedron
 
 RANK_CAP = 4
+GENERIC_SEARCH_ATTEMPTS = 1000
 
 
 class Cone:
@@ -77,12 +78,6 @@ class Cone:
         return all(dot(w, point) == 0 for w in self.span_normals) and all(
             dot(u, point) >= 0 for u in self.facet_normals
         )
-
-    def inequalities(self):
-        """(inequalities, equalities) as coefficient vectors over the origin."""
-        ineqs = [(u, 0) for u in self.facet_normals]
-        eqs = [(w, 0) for w in self.span_normals]
-        return ineqs, eqs
 
     def interior_point(self) -> Vec:
         """A lattice point in the relative interior (sum of the rays)."""
@@ -317,7 +312,7 @@ class Fan:
         return all(c.is_simplicial for c in self.cones)
 
 
-def fan_from_ray_lists(ambient_rank, rays, cones_as_indices, validate=True) -> Fan:
+def fan_from_ray_lists(ambient_rank, rays, cones_as_indices) -> Fan:
     rays = [tuple(r) for r in rays]
     for r in rays:
         if is_zero(r):
@@ -327,7 +322,7 @@ def fan_from_ray_lists(ambient_rank, rays, cones_as_indices, validate=True) -> F
     if len(set(rays)) != len(rays):
         raise ValueError("duplicate rays")
     cones = [cone_from_rays(ambient_rank, [rays[i] for i in ixs]) for ixs in cones_as_indices]
-    return Fan(ambient_rank, cones, rays=rays, validate=validate)
+    return Fan(ambient_rank, cones, rays=rays)
 
 
 def _contained_in_cone(c1: Cone, c2: Cone, target: Cone) -> bool:
@@ -469,23 +464,25 @@ def is_generic_diagonal(fan: Fan, v: tuple) -> bool:
     return True
 
 
-def find_generic_vector(fan: Fan, rng, max_attempts: int = 1000):
-    """Sample integer vectors until one certifies generic; box size doubles.
+def find_generic_vector(fan: Fan, rng, is_generic=None):
+    """Sample nonzero integer vectors until `is_generic(fan, v)` holds
+    (default: is_generic_diagonal); the sampling box doubles every 25 attempts.
 
     Returns (v, attempts).  Raises NonGenericVector when the budget runs out.
     """
+    is_generic = is_generic or is_generic_diagonal
     bound = 7
     attempts = 0
-    while attempts < max_attempts:
+    while attempts < GENERIC_SEARCH_ATTEMPTS:
         v = tuple(rng.randint(-bound, bound) for _ in range(fan.ambient_rank))
         attempts += 1
         if is_zero(v):
             continue
-        if is_generic_diagonal(fan, v):
+        if is_generic(fan, v):
             return v, attempts
         if attempts % 25 == 0:
             bound *= 2
-    raise NonGenericVector(f"no generic vector found in {max_attempts} attempts")
+    raise NonGenericVector(f"no generic vector found in {GENERIC_SEARCH_ATTEMPTS} attempts")
 
 
 class SigmaVResult:

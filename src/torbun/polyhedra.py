@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
+from .lattice import rational_rank
+
 
 def _normalize_row(coeffs, rhs, strict):
     """Scale by a positive rational so entries are coprime integers."""
@@ -62,25 +64,6 @@ def _feasible(rows, n) -> bool:
     return True
 
 
-def _rank(vectors) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [a / pv for a in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 class Polyhedron:
     """Intersection of rational halfspaces {x : A x >= b}."""
 
@@ -94,14 +77,6 @@ class Polyhedron:
             rows.append((cf, Fraction(rhs), False))
             rows.append((tuple(-c for c in cf), Fraction(-rhs), False))
         self.rows = tuple(_normalize_row(list(c), b, s) for c, b, s in rows)
-
-    @property
-    def A(self):
-        return tuple(coeffs for coeffs, _rhs, _s in self.rows)
-
-    @property
-    def b(self):
-        return tuple(rhs for _coeffs, rhs, _s in self.rows)
 
     @cached_property
     def is_empty(self) -> bool:
@@ -120,7 +95,7 @@ class Polyhedron:
                 implicit.append(coeffs)
         if not implicit:
             return self.ambient_rank
-        return self.ambient_rank - _rank(implicit)
+        return self.ambient_rank - rational_rank(implicit)
 
     @property
     def is_single_point(self) -> bool:

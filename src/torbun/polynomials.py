@@ -12,6 +12,46 @@ from fractions import Fraction
 from math import gcd
 
 
+def signed_sum(terms) -> str:
+    """Render [(coeff, monomial)] as "a - 2*b + 3"; the monomial "" is the unit.
+
+    Coefficients are nonzero integers; an empty sum renders as "0".
+    """
+    text = ""
+    for c, monomial in terms:
+        if not monomial:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = monomial
+        else:
+            body = f"{abs(c)}*{monomial}"
+        if not text:
+            text = "-" + body if c < 0 else body
+        else:
+            text += f" {'-' if c < 0 else '+'} {body}"
+    return text or "0"
+
+
+def power(base, k: int, one):
+    """base ** k by repeated squaring, given the ring's unit `one`.
+
+    Stops as soon as a power of the base vanishes, so a huge exponent of a
+    nilpotent class costs a handful of products.
+    """
+    if k < 0:
+        raise ValueError("negative exponent")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+            if base.is_zero():
+                return base
+    return out
+
+
 class Polynomial:
     """Multivariate polynomial with integer coefficients, stored sparsely."""
 
@@ -70,15 +110,6 @@ class Polynomial:
     def is_homogeneous_of(self, d: int) -> bool:
         return all(sum(e) == d for e in self.terms)
 
-    def linear_coefficients(self):
-        """Coefficient vector of a linear form (degree <= 1, no constant)."""
-        out = [0] * self.num_vars
-        for e, c in self.terms.items():
-            if sum(e) != 1:
-                raise ValueError("not a linear form")
-            out[e.index(1)] = c
-        return tuple(out)
-
     def content(self) -> int:
         g = 0
         for c in self.terms.values():
@@ -121,10 +152,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = Polynomial.constant(self.num_vars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, Polynomial.constant(self.num_vars, 1))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -148,43 +176,21 @@ class Polynomial:
             out = out + term
         return out
 
-    def evaluate(self, point):
-        out = Fraction(0)
-        for e, c in self.terms.items():
-            val = Fraction(c)
-            for x, k in zip(point, e):
-                val *= Fraction(x) ** k
-            out += val
-        return out
-
     # -- rendering -----------------------------------------------------------
 
     def render(self, names=None) -> str:
-        if not self.terms:
-            return "0"
         if names is None:
             names = [f"x{i + 1}" for i in range(self.num_vars)]
-        parts = []
+        terms = []
         for e in sorted(self.terms, key=lambda e: (sum(e), tuple(-x for x in e))):
-            c = self.terms[e]
             factors = []
             for i, k in enumerate(e):
                 if k == 1:
                     factors.append(names[i])
                 elif k > 1:
                     factors.append(f"{names[i]}^{k}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            terms.append((self.terms[e], "*".join(factors)))
+        return signed_sum(terms)
 
     def __repr__(self):
         return f"Polynomial({self.render()})"
@@ -408,10 +414,6 @@ class LinearFraction:
 
     def poly_mul(self, p: Polynomial) -> "LinearFraction":
         return LinearFraction(self.num * p, dict(self.den), self.content)
-
-    def scalar_mul(self, c) -> "LinearFraction":
-        c = Fraction(c)
-        return LinearFraction(self.num * c.numerator, dict(self.den), self.content * c.denominator)
 
     # -- rendering -----------------------------------------------------------
 

@@ -11,75 +11,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import OracleRequiresSmoothComplete
 from .fans import Cone, Fan, cone_sublattice, is_complete
-from .lattice import Vec, dot, invert_rational, normal_generator, perp_basis
-from .weights import MinkowskiWeight, _assert_balanced
-
-
-@dataclass
-class Relation:
-    tau: Cone
-    m: Vec
-    lhs: dict  # Cone -> int, over cones one dimension up from tau
-    rhs: AlgebraElement
-    equivariant_part: Optional[Vec] = None
+from .lattice import Vec, dot, invert_rational, perp_basis
+from .weights import MinkowskiWeight, Relation, _assert_balanced, relation_at
 
 
 @dataclass
 class Presentation:
     generators: list  # (Cone, homological degree)
-    relations: list  # Relation
+    relations: list[Relation]
 
 
-def _relations_at(fan: Fan, mixing: MixingMap, tau: Cone, equivariant: bool):
-    out = []
-    for m in perp_basis(cone_sublattice(tau)):
-        lhs = {}
-        for sigma in fan.cones_containing(tau):
-            if sigma.dim != tau.dim + 1:
-                continue
-            n_st = normal_generator(
-                cone_sublattice(tau), cone_sublattice(sigma), sigma.interior_point()
-            )
-            c = dot(m, n_st)
-            if c != 0:
-                lhs[sigma] = c
-        out.append(
-            Relation(
-                tau=tau,
-                m=m,
-                lhs=lhs,
-                rhs=mixing.delta(m),
-                equivariant_part=m if equivariant else None,
-            )
-        )
-    return out
+def _presentation(fan: Fan, mixing: MixingMap, equivariant: bool) -> Presentation:
+    generators = [(c, mixing.algebra.top_degree + fan.codim(c)) for c in fan.cones]
+    relations = []
+    for tau in fan.cones:
+        for m in perp_basis(cone_sublattice(tau)):
+            relation = relation_at(fan, mixing, tau, m)
+            if equivariant:
+                relation.equivariant_part = m
+            relations.append(relation)
+    return Presentation(generators, relations)
 
 
-def homology_presentation(fan: Fan, mixing: MixingMap, algebra: GradedAlgebra = None) -> Presentation:
+def homology_presentation(fan: Fan, mixing: MixingMap) -> Presentation:
     """Generators [Y(tau)] and relations sum <m, n> [Y(sigma)] = delta(m).[Y(tau)]."""
-    algebra = algebra or mixing.algebra
-    dim_base = algebra.top_degree
-    generators = [(c, dim_base + fan.codim(c)) for c in fan.cones]
-    relations = []
-    for tau in fan.cones:
-        relations.extend(_relations_at(fan, mixing, tau, equivariant=False))
-    return Presentation(generators, relations)
+    return _presentation(fan, mixing, equivariant=False)
 
 
-def equivariant_presentation(fan: Fan, mixing: MixingMap, algebra: GradedAlgebra = None) -> Presentation:
+def equivariant_presentation(fan: Fan, mixing: MixingMap) -> Presentation:
     """Same generators; the right side gains the linear character itself."""
-    algebra = algebra or mixing.algebra
-    dim_base = algebra.top_degree
-    generators = [(c, dim_base + fan.codim(c)) for c in fan.cones]
-    relations = []
-    for tau in fan.cones:
-        relations.extend(_relations_at(fan, mixing, tau, equivariant=True))
-    return Presentation(generators, relations)
+    return _presentation(fan, mixing, equivariant=True)
 
 
 class RingElement:

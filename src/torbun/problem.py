@@ -158,7 +158,9 @@ def parse_divisor_monomial(text: str, num_rays: int):
             if not 0 <= idx < num_rays:
                 raise ProblemError(f"ray index out of range in {text!r}")
             power = 1
-            if pos + 2 < len(tokens) + 1 and pos + 1 < len(tokens) and tokens[pos + 1] == "^":
+            if pos + 1 < len(tokens) and tokens[pos + 1] == "^":
+                if pos + 2 == len(tokens) or not tokens[pos + 2].isdigit():
+                    raise ProblemError(f"divisor monomials look like D1*D2^2, got {text!r}")
                 power = int(tokens[pos + 2])
                 pos += 2
             rays.extend([idx] * power)

@@ -9,6 +9,7 @@ certified generic vector and summing over pairs of cones that still meet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import BalancingError, FanNotComplete, NonGenericVector
@@ -21,7 +22,7 @@ from .fans import (
     is_generic_diagonal,
     sigma_v_set,
 )
-from .lattice import Sublattice, dot, lattice_index, normal_generator, perp_basis
+from .lattice import Sublattice, Vec, dot, lattice_index, normal_generator, perp_basis
 
 
 class MinkowskiWeight:
@@ -84,21 +85,42 @@ def _require_complete(fan: Fan):
         raise FanNotComplete("this operation needs a complete fan")
 
 
-def balancing_sides(W: MinkowskiWeight, tau: Cone, m):
-    """Both sides of the balancing condition at (tau, m in perp(tau))."""
-    fan = W.fan
-    lhs = W.algebra.zero()
+@dataclass
+class Relation:
+    """sum lhs[sigma] [Y(sigma)] = rhs . [Y(tau)] (plus m . [Y(tau)] when
+    equivariant): the homology presentation's relation at (tau, m)."""
+
+    tau: Cone
+    m: Vec
+    lhs: dict  # Cone -> int, over cones one dimension up from tau
+    rhs: AlgebraElement
+    equivariant_part: Optional[Vec] = None
+
+
+def relation_at(fan: Fan, mixing: MixingMap, tau: Cone, m) -> Relation:
+    """The relation at (tau, m in perp(tau)): lhs {sigma: <m, n_sigma/tau>}
+    over the cones one dimension up from tau, rhs delta(m)."""
+    lhs = {}
     for sigma in fan.cones_containing(tau):
         if sigma.dim != tau.dim + 1:
             continue
         n_st = normal_generator(
             cone_sublattice(tau), cone_sublattice(sigma), sigma.interior_point()
         )
-        coeff = dot(m, n_st)
-        if coeff != 0:
-            lhs = lhs + W.value(sigma) * coeff
-    rhs = W.mixing.delta(m) * W.value(tau)
-    return lhs, rhs
+        c = dot(m, n_st)
+        if c != 0:
+            lhs[sigma] = c
+    return Relation(tau=tau, m=m, lhs=lhs, rhs=mixing.delta(m))
+
+
+def balancing_sides(W: MinkowskiWeight, tau: Cone, m):
+    """Both sides of the balancing condition at (tau, m in perp(tau)): the
+    relation at (tau, m) evaluated on W."""
+    relation = relation_at(W.fan, W.mixing, tau, m)
+    lhs = W.algebra.zero()
+    for sigma, coeff in relation.lhs.items():
+        lhs = lhs + W.value(sigma) * coeff
+    return lhs, relation.rhs * W.value(tau)
 
 
 def check_balancing(W: MinkowskiWeight) -> BalancingReport:

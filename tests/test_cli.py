@@ -1,7 +1,14 @@
 """Command-line behaviour: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import torbun
 from torbun.cli import main
 from torbun.problem import parse_problem
 
@@ -204,6 +211,32 @@ def test_subbundle_searches_when_no_vector(capsys, tmp_path):
     assert code == 0
     assert doc["diagnostics"]["search_attempts"] >= 1
     assert sorted(doc["outputs"].values()) == [1, 1]
+    # the seeded searches of both commands, pinned to what they returned
+    # before they shared one search loop
+    for command, fixture, seed, v, attempts in [
+        ("subbundle", P1P1_DIAGONAL, 2, [-7, -6], 2),
+        ("subbundle", P1P1_DIAGONAL, 13, [3, 7], 2),
+        ("mw-product", F1_WEIGHTS, 16, [-1, -4], 3),
+    ]:
+        data = json.loads(open(fixture).read())
+        del data["displacement"]
+        path.write_text(json.dumps(data))
+        code, doc = run_json(capsys, command, str(path), "--seed", str(seed))
+        assert code == 0
+        assert doc["diagnostics"]["v"] == v
+        assert doc["diagnostics"]["search_attempts"] == attempts
+
+
+@pytest.mark.parametrize(
+    "v, message",
+    [("1,x", "must be a comma-separated integer vector"), ("1,2,3", "must have 2 entries")],
+    ids=["not-integer", "wrong-length"],
+)
+def test_subbundle_bad_vector_exit_2(capsys, v, message):
+    assert main(["subbundle", P1P1_DIAGONAL, "--v", v]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +284,42 @@ def test_dual_to_values_mismatch_exit_2(capsys, tmp_path):
     path = tmp_path / "mismatch.json"
     path.write_text(json.dumps(data))
     assert main(["check-balancing", str(path)]) == 2
+
+
+@pytest.mark.parametrize("dual_to", ["D1^", "D1^x"])
+def test_dual_to_bad_exponent_exit_2(capsys, tmp_path, dual_to):
+    data = json.loads(open(F1_WEIGHTS).read())
+    data["weights"][0]["dual_to"] = dual_to
+    path = tmp_path / "caret.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-balancing", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "divisor monomials look like D1*D2^2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, fixture, section, key, text, want",
+    [
+        ("check-balancing", F1_WEIGHTS, "weights", "[1]", "1 + 0*a1^1000000000", 0),
+        ("pp-to-mw", F1_PIECEWISE, "piecewise", "[1,2]", "x1^1000000000", 2),
+    ],
+    ids=["weight", "piece"],
+)
+def test_huge_exponent_finishes(tmp_path, command, fixture, section, key, text, want):
+    data = json.loads(open(fixture).read())
+    if section == "weights":
+        data["weights"][0]["values"][key] = text
+    else:
+        data["piecewise"]["pieces"][key] = text
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(torbun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "torbun.cli", command, str(path)], capture_output=True, env=env, timeout=20
+    )
+    assert done.returncode == want
 
 
 def test_round_trip_is_idempotent():

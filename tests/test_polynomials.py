@@ -21,6 +21,16 @@ def test_poly_basic_arithmetic():
     assert (x1 + 1) ** 2 == x1 * x1 + 2 * x1 + 1
 
 
+def test_powers_match_repeated_products(base_algebra, a1, a2):
+    x1, x2 = x(0), x(1)
+    for base, one in [(x1 + 2 * x2 - 1, Polynomial.constant(2, 1)), (1 + a1 - 3 * a2, base_algebra.one())]:
+        product = one
+        for k in range(10):
+            assert base ** k == product
+            product = product * base
+    assert (a1 ** 10**9).is_zero()
+
+
 def test_poly_degree_and_homogeneity():
     x1, x2 = x(0), x(1)
     assert (x1 * x2).degree() == 2
