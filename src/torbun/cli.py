@@ -18,7 +18,7 @@ import os
 import random
 import sys
 
-from .equivariant import check_pp, equivariant_multiplicity, pp_to_mw, residue_sum
+from .equivariant import equivariant_multiplicity, pp_to_mw, residue_sum
 from .errors import (
     BalancingError,
     NonGenericVector,
@@ -32,7 +32,6 @@ from .fans import (
     is_complete,
     is_generic_diagonal,
     multiplicity,
-    sigma_v_set,
 )
 from .polynomials import Polynomial, signed_sum
 from .presentations import equivariant_presentation, homology_presentation, poincare_dual_mw
@@ -241,9 +240,8 @@ def cmd_mw_product(problem: Problem, args, doc: dict, rng) -> int:
         s2 = problem.weight_specs[1].dual_to
         if s1 is None or s2 is None:
             raise ProblemError("--oracle needs 'dual_to' on both weights")
-        rays = parse_divisor_monomial(s1, len(problem.fan.rays)) + parse_divisor_monomial(
-            s2, len(problem.fan.rays)
-        )
+        n, top = len(problem.fan.rays), problem.lattice_rank + problem.algebra.top_degree
+        rays = parse_divisor_monomial(s1, n, top) + parse_divisor_monomial(s2, n, top)
         expected = poincare_dual_mw(problem.fan, problem.mixing, rays)
         if expected != product:
             doc["diagnostics"]["oracle"] = "mismatch"
@@ -253,15 +251,7 @@ def cmd_mw_product(problem: Problem, args, doc: dict, rng) -> int:
 
 
 def cmd_pp_to_mw(problem: Problem, args, doc: dict, rng) -> int:
-    f = problem.piecewise()
-    violations = check_pp(f)
-    if violations:
-        s1, s2, tau = violations[0]
-        raise ProblemError(
-            "piecewise polynomial is incompatible across the face "
-            f"{cone_key_string(problem.fan, tau)}"
-        )
-    W = pp_to_mw(f, problem.mixing)
+    W = pp_to_mw(problem.piecewise(), problem.mixing)
     doc["outputs"] = {"codim": W.codim, "values": weight_table(problem.fan, W)}
     return EXIT_OK
 
@@ -317,15 +307,22 @@ def cmd_subbundle(problem: Problem, args, doc: dict, rng) -> int:
     if problem.sublattice is None:
         raise ProblemError("subbundle needs a 'sublattice' section")
     N = problem.sublattice
+    found = {}
+
+    def has_class(fan, u):
+        try:
+            found[u] = subbundle_class(fan, N, u)
+        except NonGenericVector:
+            return False
+        return True
+
     if args.v:
         v, attempts = _parse_v(problem, args.v), 0
     elif problem.displacement is not None:
         v, attempts = problem.displacement, 0
     else:
-        v, attempts = find_generic_vector(
-            problem.fan, rng, lambda fan, u: sigma_v_set(fan, N, u).generic
-        )
-    result = subbundle_class(problem.fan, N, v)
+        v, attempts = find_generic_vector(problem.fan, rng, has_class)
+    result = found[v] if v in found else subbundle_class(problem.fan, N, v)
     doc["diagnostics"] = {"v": list(v), "search_attempts": attempts}
     doc["outputs"] = {
         cone_key_string(problem.fan, cone): coeff for cone, coeff in sorted(

@@ -11,6 +11,7 @@ Minkowski weight.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .algebra import MixingMap
@@ -19,7 +20,6 @@ from .fans import (
     Cone,
     Fan,
     cone_sublattice,
-    faces_of,
     is_complete,
     is_face,
     multiplicity,
@@ -74,21 +74,16 @@ def check_pp(f: PiecewisePolynomial):
     """List of (sigma1, sigma2, common_face) where the pieces disagree on the
     span of the shared face; empty means compatible."""
     fan = f.fan
-    maxes = fan.maximal_cones
     violations = []
-    for i, s1 in enumerate(maxes):
-        for s2 in maxes[i + 1 :]:
-            common = [c for c in faces_of(s1) if is_face(c, s2)]
-            tau = max(common, key=lambda c: c.dim)
-            if tau.dim == 0:
-                continue
-            basis = cone_sublattice(tau).basis
-            params = [
-                Polynomial.linear_form([b[i_] for b in basis]) for i_ in range(fan.ambient_rank)
-            ]
-            diff = (f.pieces[s1] - f.pieces[s2]).compose(params)
-            if not diff.is_zero():
-                violations.append((s1, s2, tau))
+    for s1, s2 in itertools.combinations(fan.maximal_cones, 2):
+        tau = fan.common_face(s1, s2)
+        if tau.dim == 0:
+            continue
+        basis = cone_sublattice(tau).basis
+        params = [Polynomial.linear_form([b[i] for b in basis]) for i in range(fan.ambient_rank)]
+        diff = (f.pieces[s1] - f.pieces[s2]).compose(params)
+        if not diff.is_zero():
+            violations.append((s1, s2, tau))
     return violations
 
 

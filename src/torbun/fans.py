@@ -2,8 +2,9 @@
 
 Cones are given by primitive ray generators; facet structure is computed by
 brute-force hyperplane enumeration, which is exact and adequate up to the
-declared ambient-rank cap of 4.  Fans are closed under faces and verified to
-intersect pairwise in common faces.
+declared ambient-rank cap of 4.  A fan is closed under faces; its face lattice
+is built once, and validation checks that pairs of maximal cones meet in
+common faces.
 """
 
 from __future__ import annotations
@@ -218,36 +219,40 @@ def _shift_dim(sigma1: Cone, sigma2: Cone, v: Vec) -> int:
 
 
 class Fan:
-    """A fan: cones closed under faces, intersecting in common faces."""
+    """A fan: cones closed under faces, intersecting in common faces; the
+    face lattice is built once, and validation checks maximal pairs only."""
 
     def __init__(self, ambient_rank, cones, rays=None, validate=True):
         self.ambient_rank = ambient_rank
-        closure = {}
+        # the face lattice: every cone of the closure mapped to its faces
+        faces = {}
         for c in cones:
-            for f in faces_of(c):
-                closure[f] = None
+            faces_c = faces_of(c)
+            for f in faces_c:
+                if f not in faces:
+                    f_rays = set(f.rays)
+                    faces[f] = frozenset(g for g in faces_c if f_rays.issuperset(g.rays))
         z = zero_cone(ambient_rank)
-        closure.setdefault(z, None)
+        faces.setdefault(z, frozenset([z]))
         if rays is None:
-            rays = []
-            for c in closure:
-                for r in c.rays:
-                    if r not in rays:
-                        rays.append(r)
-            rays.sort()
+            rays = sorted({r for c in faces for r in c.rays})
         self.rays = tuple(tuple(r) for r in rays)
         self._ray_index = {r: i for i, r in enumerate(self.rays)}
-        for c in closure:
+        for c in faces:
             for r in c.rays:
                 if r not in self._ray_index:
                     raise ValueError(f"cone ray {r} missing from fan ray list")
-        self.cones = tuple(sorted(closure, key=self.cone_sort_key))
+        self.cones = tuple(sorted(faces, key=self.cone_sort_key))
+        self._faces = faces
+        self._containing = {c: [] for c in self.cones}
+        for s in self.cones:
+            for t in faces[s]:
+                self._containing[t].append(s)
+        self._by_key = {self.cone_key(c): c for c in self.cones}
+        self.maximal_cones = [c for c in self.cones if self._containing[c] == [c]]
+        self.face_relations = frozenset((t, s) for s in self.cones for t in faces[s])
         if validate:
             self._validate()
-        self.face_relations = frozenset(
-            (t, s) for t in self.cones for s in self.cones if is_face(t, s)
-        )
-        self._containing = {}
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -258,17 +263,21 @@ class Fan:
         return (cone.dim, self.cone_key(cone))
 
     def cone_by_ray_indices(self, indices) -> Cone:
-        want = frozenset(self.rays[i] for i in indices)
-        for c in self.cones:
-            if frozenset(c.rays) == want:
-                return c
-        raise ConeNotInFan(f"no cone on rays {sorted(indices)}")
+        """The cone on these ray indices; ConeNotInFan if none (out of range, repeated)."""
+        key = tuple(sorted(indices))
+        if key not in self._by_key:
+            raise ConeNotInFan(f"no cone on rays {list(key)}")
+        return self._by_key[key]
+
+    def common_face(self, s1: Cone, s2: Cone) -> Cone:
+        """Largest face shared by two cones of the fan; ties (invalid fans only) by cone_sort_key."""
+        return max(self._faces[s1] & self._faces[s2], key=self.cone_sort_key)
 
     def _validate(self):
-        for c1, c2 in itertools.combinations(self.cones, 2):
-            common = [f for f in faces_of(c1) if is_face(f, c2)]
-            best = max(common, key=lambda f: f.dim)
-            if not _contained_in_cone(c1, c2, best):
+        # faces of cones meeting in a common face meet in a face of it, so
+        # pairs of maximal cones are enough
+        for c1, c2 in itertools.combinations(self.maximal_cones, 2):
+            if not _contained_in_cone(c1, c2, self.common_face(c1, c2)):
                 raise InvalidFan(
                     f"cones {self.cone_key(c1)} and {self.cone_key(c2)} do not meet in a face"
                 )
@@ -288,15 +297,10 @@ class Fan:
 
     # -- queries ---------------------------------------------------------------
 
-    @property
-    def maximal_cones(self):
-        return [c for c in self.cones if not any(c != d and is_face(c, d) for d in self.cones)]
-
     def cones_containing(self, tau: Cone):
+        """Cones of the fan having tau as a face, tau included, in fan order."""
         if tau not in self._containing:
-            if tau not in set(self.cones):
-                raise ConeNotInFan(f"{tau} not in fan")
-            self._containing[tau] = [s for s in self.cones if is_face(tau, s)]
+            raise ConeNotInFan(f"{tau} not in fan")
         return self._containing[tau]
 
     def codim(self, cone: Cone) -> int:
@@ -346,15 +350,13 @@ def is_complete(fan: Fan) -> bool:
     """Support covers the whole space: pure, every ridge in exactly two
     maximal cones, and the maximal cones connected through shared ridges."""
     n = fan.ambient_rank
-    maxes = fan.maximal_cones
-    if not maxes:
-        return False
+    maxes = fan.maximal_cones  # never empty: the zero cone is in every fan
     if any(c.dim != n for c in maxes):
         return False
     ridges = [c for c in fan.cones if c.dim == n - 1]
     adjacency = {id(c): set() for c in maxes}
     for ridge in ridges:
-        owners = [c for c in maxes if is_face(ridge, c)]
+        owners = [c for c in fan.cones_containing(ridge) if c.dim == n]
         if len(owners) != 2:
             return False
         adjacency[id(owners[0])].add(id(owners[1]))
@@ -376,12 +378,9 @@ def star_fan(tau: Cone, fan: Fan):
     Returns (star, quotient) where quotient is the QuotientMap by the
     saturated span of tau.
     """
-    if tau not in set(fan.cones):
-        raise ConeNotInFan(f"{tau} not in fan")
+    containing = fan.cones_containing(tau)
     q = quotient_map(cone_sublattice(tau))
-    cones = []
-    for sigma in fan.cones_containing(tau):
-        cones.append(star_image_cone(q, sigma))
+    cones = [star_image_cone(q, sigma) for sigma in containing]
     return Fan(q.quotient_rank, cones, validate=False), q
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
-from .errors import OracleRequiresSmoothComplete
+from .errors import ConeNotInFan, OracleRequiresSmoothComplete
 from .fans import Cone, Fan, cone_sublattice, is_complete
 from .lattice import Vec, dot, invert_rational, perp_basis
 from .weights import MinkowskiWeight, Relation, _assert_balanced, relation_at
@@ -113,18 +113,19 @@ def reduce_product(fan: Fan, mixing: MixingMap, ray_indices, base: AlgebraElemen
     _require_oracle_fan(fan)
     algebra = mixing.algebra
     base = base if base is not None else algebra.one()
-    cone_by_rayset = {frozenset(c.rays): c for c in fan.cones}
-    max_cones = fan.maximal_cones
+    start = tuple(sorted(ray_indices))
+    if not all(0 <= i < len(fan.rays) for i in start):
+        raise ValueError(f"ray indices must lie in 0..{len(fan.rays) - 1}, got {list(start)}")
     result = RingElement(fan, algebra)
     # worklist of (sorted ray-index multiset, coefficient)
-    work = [(tuple(sorted(ray_indices)), base)]
+    work = [(start, base)]
     while work:
         monomial, coeff = work.pop()
         if coeff.is_zero():
             continue
-        rayset = frozenset(fan.rays[i] for i in monomial)
-        cone = cone_by_rayset.get(rayset)
-        if cone is None:
+        try:
+            cone = fan.cone_by_ray_indices(set(monomial))
+        except ConeNotInFan:
             continue  # non-face annihilates the product
         if len(set(monomial)) == len(monomial):
             result = result.add_term(cone, coeff)
@@ -133,7 +134,7 @@ def reduce_product(fan: Fan, mixing: MixingMap, ray_indices, base: AlgebraElemen
         rest = list(monomial)
         rest.remove(rep)
         rest = tuple(rest)
-        sigma_star = next(s for s in max_cones if rayset <= set(s.rays))
+        sigma_star = next(s for s in fan.cones_containing(cone) if s.dim == fan.ambient_rank)
         m = _dual_character(fan, sigma_star, fan.rays[rep])
         # D_rep = p*delta(m) - sum_{other rays} <m, u> D_other
         work.append((rest, coeff * mixing.delta(m)))
@@ -170,8 +171,7 @@ def poincare_dual_mw(
     codim = len(tuple(ray_indices)) + (base_degs[0] if base_degs else 0)
     values = {}
     for cone in fan.cones:
-        stratum_rays = tuple(fan.rays.index(r) for r in cone.rays)
-        nf = reduce_product(fan, mixing, tuple(ray_indices) + stratum_rays, base)
+        nf = reduce_product(fan, mixing, tuple(ray_indices) + fan.cone_key(cone), base)
         val = pushforward_to_base(nf)
         if not val.is_zero():
             values[cone] = val

@@ -139,13 +139,14 @@ def parse_polynomial_expression(text: str, num_vars: int) -> Polynomial:
     return parse_expression(text, atom, lambda c: Polynomial.constant(num_vars, c))
 
 
-def parse_divisor_monomial(text: str, num_rays: int):
+def parse_divisor_monomial(text: str, num_rays: int, max_degree: int):
     """Parse a product of D<i> factors (1-based) with optional ^powers and a
-    leading integer 1; returns the list of 0-based ray indices."""
+    leading integer 1; returns the list of 0-based ray indices.  A total degree
+    above max_degree, the bundle's dimension (so the class is zero), is refused."""
     tokens = _tokenize(text)
     if tokens == ["1"]:
         return []
-    rays = []
+    factors = []
     expect_factor = True
     pos = 0
     while pos < len(tokens):
@@ -163,7 +164,7 @@ def parse_divisor_monomial(text: str, num_rays: int):
                     raise ProblemError(f"divisor monomials look like D1*D2^2, got {text!r}")
                 power = int(tokens[pos + 2])
                 pos += 2
-            rays.extend([idx] * power)
+            factors.append((idx, power))
             expect_factor = False
         else:
             if tok != "*":
@@ -172,7 +173,10 @@ def parse_divisor_monomial(text: str, num_rays: int):
         pos += 1
     if expect_factor:
         raise ProblemError(f"dangling '*' in divisor monomial {text!r}")
-    return rays
+    degree = sum(power for _, power in factors)
+    if degree > max_degree:
+        raise ProblemError(f"divisor monomial {text!r} has degree {degree} > bundle dimension {max_degree}")
+    return [idx for idx, power in factors for _ in range(power)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +192,7 @@ def cone_from_key_string(fan: Fan, key: str) -> Cone:
         indices = json.loads(key)
     except json.JSONDecodeError as exc:
         raise ProblemError(f"bad cone key {key!r}: {exc}") from exc
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
+    if not isinstance(indices, list) or not all(type(i) is int for i in indices):
         raise ProblemError(f"cone key must be a list of ray indices, got {key!r}")
     return fan.cone_by_ray_indices(indices)
 
@@ -232,7 +236,8 @@ class Problem:
                 raise ProblemError(f"weight #{i + 1}: {exc}") from exc
         dual = None
         if spec.dual_to is not None:
-            rays = parse_divisor_monomial(spec.dual_to, len(self.fan.rays))
+            top = self.lattice_rank + self.algebra.top_degree
+            rays = parse_divisor_monomial(spec.dual_to, len(self.fan.rays), top)
             dual = poincare_dual_mw(self.fan, self.mixing, rays)
             if dual.codim != spec.codim:
                 raise ProblemError(

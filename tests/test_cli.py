@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,18 @@ def test_equiv_mult_singular(capsys):
     assert doc["outputs"]["value"] == "2 / (x2 * (2*x1 - x2))"
 
 
+@pytest.mark.parametrize(
+    "sigma, tau",
+    [("[0,99]", "[]"), ("[0,-3]", "[]"), ("[0,1]", "[true]"), ("[0,0,1]", "[]")],
+    ids=["out-of-range", "negative", "boolean", "repeated"],
+)
+def test_equiv_mult_bad_cone_key_exit_2(capsys, sigma, tau):
+    assert main(["equiv-mult", F1_PIECEWISE, "--sigma", sigma, "--tau", tau]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_residue_command(capsys):
     code, doc = run_json(capsys, "residue", F1_PIECEWISE)
     assert code == 0
@@ -184,6 +197,17 @@ def test_pp_to_mw_command(capsys):
     assert values["[1]"] == "-a1 - a2"
     assert values["[0,1]"] == "a2^2"
     assert values["[1,2]"] == "a1^2"
+
+
+def test_pp_to_mw_incompatible_pieces_exit_2(capsys, tmp_path):
+    data = json.loads(open(F1_PIECEWISE).read())
+    data["piecewise"]["pieces"]["[0,1]"] = "x1^2"
+    path = tmp_path / "incompatible.json"
+    path.write_text(json.dumps(data))
+    assert main(["pp-to-mw", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "disagree on their common face" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +249,25 @@ def test_subbundle_searches_when_no_vector(capsys, tmp_path):
         assert code == 0
         assert doc["diagnostics"]["v"] == v
         assert doc["diagnostics"]["search_attempts"] == attempts
+
+
+def test_subbundle_search_certifies_each_vector_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    real = torbun.weights.sigma_v_set
+
+    def counted(fan, N, v):
+        calls.append(tuple(v))
+        return real(fan, N, v)
+
+    monkeypatch.setattr(torbun.weights, "sigma_v_set", counted)
+    data = json.loads(open(P1P1_DIAGONAL).read())
+    del data["displacement"]
+    path = tmp_path / "nodisp.json"
+    path.write_text(json.dumps(data))
+    code, doc = run_json(capsys, "subbundle", str(path), "--seed", "2")
+    assert code == 0
+    assert doc["diagnostics"]["v"] == [-7, -6]
+    assert calls == [(6, 6), (-7, -6)]
 
 
 @pytest.mark.parametrize(
@@ -303,21 +346,27 @@ def test_dual_to_bad_exponent_exit_2(capsys, tmp_path, dual_to):
     [
         ("check-balancing", F1_WEIGHTS, "weights", "[1]", "1 + 0*a1^1000000000", 0),
         ("pp-to-mw", F1_PIECEWISE, "piecewise", "[1,2]", "x1^1000000000", 2),
+        ("check-balancing", F1_WEIGHTS, "dual_to", None, "D1^300000000", 2),
     ],
-    ids=["weight", "piece"],
+    ids=["weight", "piece", "dual_to"],
 )
 def test_huge_exponent_finishes(tmp_path, command, fixture, section, key, text, want):
     data = json.loads(open(fixture).read())
     if section == "weights":
         data["weights"][0]["values"][key] = text
+    elif section == "dual_to":
+        data["weights"][0]["dual_to"] = text
     else:
         data["piecewise"]["pieces"][key] = text
     path = tmp_path / "power.json"
     path.write_text(json.dumps(data))
     src = str(Path(torbun.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # a 1 GB address-space cap turns a runaway allocation into a failure here
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
     done = subprocess.run(
-        [sys.executable, "-m", "torbun.cli", command, str(path)], capture_output=True, env=env, timeout=20
+        [sys.executable, "-m", "torbun.cli", command, str(path)],
+        capture_output=True, env=env, timeout=20, preexec_fn=cap,
     )
     assert done.returncode == want
 

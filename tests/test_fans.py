@@ -1,11 +1,14 @@
 """Cones, fans, stars, completeness, triangulation, genericity."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import torbun as tb
+from torbun.fans import _contained_in_cone
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +102,19 @@ def test_fan_rejects_improper_intersections():
         tb.fan_from_ray_lists(2, [(1, 0), (1, 2), (1, 1), (0, 1)], [(0, 1), (2, 3)])
 
 
+def test_fan_rejects_improper_intersections_rank_3():
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    # a ray through the interior of a 3-cone, given as its own cone
+    with pytest.raises(tb.InvalidFan):
+        tb.fan_from_ray_lists(3, e + [(1, 1, 1)], [(0, 1, 2), (3,)])
+    # the same ray as a face of a 2-cone, so it is not maximal
+    with pytest.raises(tb.InvalidFan):
+        tb.fan_from_ray_lists(3, e + [(1, 1, 1), (-1, 0, 0)], [(0, 1, 2), (3, 4)])
+    # two 2-cones crossing inside the plane x3 = 0
+    with pytest.raises(tb.InvalidFan):
+        tb.fan_from_ray_lists(3, [(1, 0, 0), (1, 2, 0), (1, 1, 0), (0, 1, 0)], [(0, 1), (2, 3)])
+
+
 def test_fan_requires_primitive_distinct_rays():
     with pytest.raises(ValueError):
         tb.fan_from_ray_lists(2, [(2, 0)], [(0,)])
@@ -120,6 +136,87 @@ def test_removing_any_maximal_cone_breaks_completeness():
         kept = [c for i, c in enumerate(maxes) if i != drop]
         partial = tb.fan_from_ray_lists(2, rays, kept)
         assert not tb.is_complete(partial)
+
+
+# ---------------------------------------------------------------------------
+# the face lattice
+
+
+def assert_lattice_matches_is_face_sweeps(fan):
+    cones = fan.cones
+    assert fan.maximal_cones == [
+        c for c in cones if not any(c != d and tb.is_face(c, d) for d in cones)
+    ]
+    for tau in cones:
+        assert fan.cones_containing(tau) == [s for s in cones if tb.is_face(tau, s)]
+    assert fan.face_relations == frozenset(
+        (t, s) for t in cones for s in cones if tb.is_face(t, s)
+    )
+
+
+def test_face_lattice_matches_is_face_sweeps(f1_fan):
+    axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    p1_cubed = tb.fan_from_ray_lists(3, axes, list(itertools.product((0, 1), (2, 3), (4, 5))))
+    corners = list(itertools.product((1, -1), repeat=3))
+    cube = tb.fan_from_ray_lists(
+        3,
+        corners,
+        [[i for i, r in enumerate(corners) if r[k] == sign] for k in range(3) for sign in (1, -1)],
+    )
+    assert (len(p1_cubed.cones), len(p1_cubed.maximal_cones)) == (27, 8)
+    assert (len(cube.cones), len(cube.maximal_cones)) == (27, 6)
+    for fan in (f1_fan, p1_cubed, cube):
+        assert_lattice_matches_is_face_sweeps(fan)
+    with pytest.raises(tb.ConeNotInFan):
+        f1_fan.cones_containing(tb.cone_from_rays(2, [(2, 1)]))
+
+
+def _valid_on_all_pairs(fan, memo):
+    """The definition of a fan, checked on every pair of cones of the closure
+    (pair results memoised across fans).  A face meets its cone in itself."""
+    for c1, c2 in itertools.combinations(fan.cones, 2):
+        if tb.is_face(c1, c2):
+            continue
+        if (c1, c2) not in memo:
+            common = [f for f in tb.faces_of(c1) if tb.is_face(f, c2)]
+            memo[c1, c2] = _contained_in_cone(c1, c2, max(common, key=lambda f: f.dim))
+        if not memo[c1, c2]:
+            return False
+    return True
+
+
+RAY_POOLS = {
+    2: [r for r in itertools.product(range(-2, 3), repeat=2) if any(r) and tb.primitive(r) == r],
+    3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1),
+        (1, 1, 1), (1, 1, 0), (-1, -1, -1), (0, 1, -1)],
+}
+
+
+def test_fan_validation_matches_all_pairs_oracle():
+    # validation checks pairs of maximal cones only; random candidate fans
+    # must be accepted or rejected exactly as the all-pairs definition says
+    rng = random.Random(3)
+    memo = {}
+    outcomes = Counter()
+    for rank, count in ((2, 150), (3, 60)):
+        for _ in range(count):
+            rays = rng.sample(RAY_POOLS[rank], rng.randint(rank + 1, rank + 2))
+            cones = [rng.sample(range(len(rays)), rng.randint(2, rank)) for _ in range(3)]
+            try:
+                candidate = [tb.cone_from_rays(rank, [rays[i] for i in ix]) for ix in cones]
+            except tb.NotStronglyConvex:
+                continue
+            want = _valid_on_all_pairs(tb.Fan(rank, candidate, rays=rays, validate=False), memo)
+            try:
+                fan = tb.fan_from_ray_lists(rank, rays, cones)
+            except tb.InvalidFan:
+                fan = None
+            assert (fan is not None) == want, (rays, cones)
+            if fan is not None:
+                assert_lattice_matches_is_face_sweeps(fan)
+            outcomes[rank, want] += 1
+    assert outcomes[2, False] + outcomes[3, False] >= 50, outcomes
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 # ---------------------------------------------------------------------------

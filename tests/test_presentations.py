@@ -80,6 +80,12 @@ def test_reduce_nonface(f1_fan, mixing):
     assert tb.reduce_product(f1_fan, mixing, [0, 2]).terms == {}
 
 
+def test_reduce_rejects_out_of_range_rays(f1_fan, mixing):
+    for monomial in ([0, 4], [-1, 0]):
+        with pytest.raises(ValueError):
+            tb.reduce_product(f1_fan, mixing, monomial)
+
+
 def test_reduce_repeated_factor(f1_fan, mixing, a1, a2):
     nf = tb.reduce_product(f1_fan, mixing, [0, 0, 1])
     s12 = f1_fan.cone_by_ray_indices([0, 1])
