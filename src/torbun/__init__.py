@@ -27,6 +27,7 @@ from .errors import (
     ConeNotInFan,
     FanNotComplete,
     InvalidFan,
+    InvariantViolation,
     NonGenericVector,
     NotCodimOne,
     NotSaturated,

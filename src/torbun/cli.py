@@ -21,6 +21,7 @@ import sys
 from .equivariant import equivariant_multiplicity, pp_to_mw, residue_sum
 from .errors import (
     BalancingError,
+    InvariantViolation,
     NonGenericVector,
     ResidueNotPolynomial,
     TorbunError,
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
         doc["error"] = {"kind": "genericity", "message": str(exc)}
         print_document(doc, args.format)
         return EXIT_GENERICITY
-    except (BalancingError, ResidueNotPolynomial) as exc:
+    except (BalancingError, ResidueNotPolynomial, InvariantViolation) as exc:
         doc["error"] = {"kind": "assertion", "message": str(exc)}
         print_document(doc, args.format)
         return EXIT_MATH

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .algebra import MixingMap
-from .errors import FanNotComplete, ResidueNotPolynomial
+from .errors import FanNotComplete, ResidueNotPolynomial, check_invariant
 from .fans import (
     Cone,
     Fan,
@@ -167,9 +167,9 @@ def residue_sum(f: PiecewisePolynomial, tau: Cone) -> Polynomial:
     out = total.as_polynomial()
     want = f.degree - fan.codim(tau)
     if want < 0:
-        assert out.is_zero()
+        check_invariant(out.is_zero(), f"residue at {fan.cone_key(tau)} is nonzero below degree 0")
     else:
-        assert out.is_homogeneous_of(want)
+        check_invariant(out.is_homogeneous_of(want), f"residue at {fan.cone_key(tau)} is not of degree {want}")
     return out
 
 

@@ -55,3 +55,14 @@ class OracleRequiresSmoothComplete(TorbunError):
 
 class BalancingError(TorbunError):
     """A weight that must balance failed the balancing condition."""
+
+
+class InvariantViolation(TorbunError):
+    """An internal invariant failed: a bug in torbun, not bad input."""
+
+
+def check_invariant(condition, message: str):
+    """Raise InvariantViolation unless condition holds; unlike assert, this
+    also runs under python -O."""
+    if not condition:
+        raise InvariantViolation(message)

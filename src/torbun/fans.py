@@ -4,14 +4,16 @@ Cones are given by primitive ray generators; facet structure is computed by
 brute-force hyperplane enumeration, which is exact and adequate up to the
 declared ambient-rank cap of 4.  A fan is closed under faces; its face lattice
 is built once, and validation checks that pairs of maximal cones meet in
-common faces.
+common faces.  That check is the one use of Fourier-Motzkin elimination;
+genericity of displacement vectors is decided by lattice algebra against
+walls computed once per fan.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     ConeNotInFan,
@@ -32,8 +34,10 @@ from .lattice import (
     primitive,
     quotient_map,
     rational_rank,
+    rational_span,
     saturated_span,
     snf,
+    solve_rational,
     vec_add,
     vec_neg,
 )
@@ -207,20 +211,22 @@ def _cone_pair_polyhedron(c1: Cone, c2: Cone, shift=None) -> Polyhedron:
 
 
 def cone_shift_intersect(sigma1: Cone, sigma2: Cone, v) -> Polyhedron:
-    """The polyhedron sigma1 intersect (sigma2 + v)."""
+    """The polyhedron sigma1 intersect (sigma2 + v), by Fourier-Motzkin."""
     if sigma1.ambient_rank != sigma2.ambient_rank:
         raise ValueError("ambient rank mismatch")
     return _cone_pair_polyhedron(sigma1, sigma2, tuple(v))
 
 
-@lru_cache(maxsize=None)
-def _shift_dim(sigma1: Cone, sigma2: Cone, v: Vec) -> int:
-    return cone_shift_intersect(sigma1, sigma2, v).dim
-
-
 class Fan:
     """A fan: cones closed under faces, intersecting in common faces; the
-    face lattice is built once, and validation checks maximal pairs only."""
+    face lattice is built once, and validation checks maximal pairs only.
+
+    Data for displacement products lives on the fan and dies with it: the
+    cones' spans and the diagonal's genericity walls (`cone_spans`,
+    `diagonal_walls`, built on first use) and `displacement_table`, the
+    displacement pairs that `weights.displacement_pairs` has found for the
+    last vector used, per cone.
+    """
 
     def __init__(self, ambient_rank, cones, rays=None, validate=True):
         self.ambient_rank = ambient_rank
@@ -251,6 +257,7 @@ class Fan:
         self._by_key = {self.cone_key(c): c for c in self.cones}
         self.maximal_cones = [c for c in self.cones if self._containing[c] == [c]]
         self.face_relations = frozenset((t, s) for s in self.cones for t in faces[s])
+        self.displacement_table = None
         if validate:
             self._validate()
 
@@ -314,6 +321,20 @@ class Fan:
 
     def is_simplicial(self) -> bool:
         return all(c.is_simplicial for c in self.cones)
+
+    @cached_property
+    def cone_spans(self) -> dict:
+        """Each cone's linear span, as the key of lattice.rational_span."""
+        return {c: rational_span(self.ambient_rank, c.rays)[0] for c in self.cones}
+
+    @cached_property
+    def diagonal_walls(self) -> tuple:
+        """The walls of the diagonal: the distinct proper subspaces
+        span(s1) + span(s2) for cones s1, s2 of the fan, each given by
+        normal vectors spanning its perp."""
+        spans = dict.fromkeys(self.cone_spans.values())
+        walls = (_wall(self.ambient_rank, A, B) for A, B in itertools.combinations_with_replacement(spans, 2))
+        return tuple(dict.fromkeys(w for w in walls if w is not None))
 
 
 def fan_from_ray_lists(ambient_rank, rays, cones_as_indices) -> Fan:
@@ -439,28 +460,36 @@ def triangulate(sigma: Cone):
 
 # ---------------------------------------------------------------------------
 # genericity of displacement vectors
+#
+# Fulton and Sturmfels (Intersection theory on toric varieties, Topology 36,
+# 1997) call a displacement vector generic when it avoids the finitely many
+# walls: the proper subspaces span(sigma) + span(N), sigma in the fan, for a
+# subbundle of sublattice N, and span(s1) + span(s2) for the diagonal.  This
+# implies that every cone pair, or cone, meeting the displaced subspace in a
+# single point has the complementary dimension.  The converse can fail off
+# complete fans: on the cone over a square the wall test rejects (3, 2, 2),
+# which the single-point test (`single_point_pairs`) accepts.
 
 
 def single_point_pairs(fan: Fan, v):
-    """Ordered cone pairs whose shifted intersection is a single point."""
+    """Ordered cone pairs whose shifted intersection is a single point,
+    decided by Fourier-Motzkin (a reference for the wall test)."""
     v = tuple(v)
-    out = []
-    for s1 in fan.cones:
-        for s2 in fan.cones:
-            if _shift_dim(s1, s2, v) == 0:
-                out.append((s1, s2))
-    return out
+    return [(s1, s2) for s1 in fan.cones for s2 in fan.cones if cone_shift_intersect(s1, s2, v).dim == 0]
 
 
-@lru_cache(maxsize=None)
-def is_generic_diagonal(fan: Fan, v: tuple) -> bool:
-    """A displacement vector is generic when every single-point shifted
-    intersection comes from cones of complementary dimension."""
-    n = fan.ambient_rank
-    for s1, s2 in single_point_pairs(fan, v):
-        if s1.dim + s2.dim != n:
-            return False
-    return True
+def _wall(n: int, A: tuple, B: tuple):
+    """Normals of the wall span(A) + span(B), for tuples of vectors A and B,
+    or None when it is all of Q^n.  The normals depend only on the wall."""
+    key, normals = rational_span(n, A + B)
+    return normals if len(key) < n else None
+
+
+def is_generic_diagonal(fan: Fan, v) -> bool:
+    """A displacement vector is generic when it lies on none of the fan's
+    diagonal walls: each wall has a normal vector that is nonzero on v."""
+    v = tuple(v)
+    return all(any(dot(u, v) for u in normals) for normals in fan.diagonal_walls)
 
 
 def find_generic_vector(fan: Fan, rng, is_generic=None):
@@ -485,7 +514,8 @@ def find_generic_vector(fan: Fan, rng, is_generic=None):
 
 
 class SigmaVResult:
-    """Cones meeting an affine translate of a subspace in a single point."""
+    """Cones meeting an affine translate of a subspace in a single point,
+    and the cones whose wall contains the translation vector."""
 
     def __init__(self, cones, generic, offending):
         self.cones = cones
@@ -494,9 +524,18 @@ class SigmaVResult:
 
 
 def sigma_v_set(fan: Fan, N: Sublattice, v) -> SigmaVResult:
-    """Cones of the fan whose intersection with the affine subspace
-    span(N) + v is a single point, plus a genericity report
-    (every such cone must have dimension equal to the codimension of N)."""
+    """Cones of the fan meeting the affine subspace span(N) + v in a single
+    point, and a genericity report.
+
+    v is generic when it lies on no wall span(sigma) + span(N) != Q^n;
+    `offending` lists the cones whose wall contains v, in fan order.  A cone
+    of dimension codim N with span(sigma) + span(N) = Q^n meets span(N) + v
+    in span(sigma) at one point, found by one rational solve; `cones` lists
+    those cones whose point satisfies their facet inequalities.  At a generic
+    v these are exactly the cones meeting span(N) + v in a single point.  At
+    a non-generic v, `cones` is still that list, which may then miss a cone
+    meeting span(N) + v in a single point.
+    """
     v = tuple(v)
     n = fan.ambient_rank
     if N.ambient_rank != n:
@@ -504,22 +543,24 @@ def sigma_v_set(fan: Fan, N: Sublattice, v) -> SigmaVResult:
     if not is_saturated(N):
         raise NotSaturated("the subbundle sublattice must be saturated")
     codim = n - N.rank
-    hits = []
+    N_normals = rational_span(n, N.basis)[1]
+    walls = {}  # a cone span -> normals of its wall with N, None if no wall
+    cones, offending = [], []
     for cone in fan.cones:
-        # parametrize points v + sum(t_i b_i) and intersect with the cone
-        ineqs = []
-        eqs = []
-        for u in cone.facet_normals:
-            coeffs = [Fraction(dot(u, b)) for b in N.basis]
-            ineqs.append((coeffs, -dot(u, v)))
-        for w in cone.span_normals:
-            coeffs = [Fraction(dot(w, b)) for b in N.basis]
-            eqs.append((coeffs, -dot(w, v)))
-        poly = Polyhedron(N.rank, ineqs, eqs)
-        if poly.dim == 0:
-            hits.append(cone)
-    offending = [c for c in hits if c.dim != codim]
-    return SigmaVResult(hits, not offending, offending)
+        span = fan.cone_spans[cone]
+        if span not in walls:
+            walls[span] = _wall(n, span, N.basis)
+        normals = walls[span]
+        if normals is not None:
+            if not any(dot(u, v) for u in normals):
+                offending.append(cone)
+        elif cone.dim == codim:
+            # the point x of span(sigma) with x - v in span(N)
+            rhs = [0] * len(cone.span_normals) + [dot(u, v) for u in N_normals]
+            x = solve_rational(list(cone.span_normals) + list(N_normals), rhs)
+            if all(dot(u, x) >= 0 for u in cone.facet_normals):
+                cones.append(cone)
+    return SigmaVResult(cones, not offending, offending)
 
 
 def fan_product(f1: Fan, f2: Fan) -> Fan:

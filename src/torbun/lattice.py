@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .errors import NotCodimOne, NotSaturated, ZeroVector
+from .errors import NotCodimOne, NotSaturated, ZeroVector, check_invariant
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -205,23 +205,25 @@ def _snf_ext(A) -> SNF:
         if S[t][t] < 0:
             row_neg(t)
 
-    result = SNF(
+    return SNF(
         S=tuple(tuple(row) for row in S),
         U=tuple(tuple(row) for row in U),
         V=tuple(tuple(row) for row in V),
         Uinv=tuple(tuple(row) for row in Ui),
         Vinv=tuple(tuple(row) for row in Vi),
     )
-    # postconditions are cheap at desk scale, so always check them
-    assert mat_mul(mat_mul(result.U, tuple(tuple(r_) for r_ in A)), result.V) == result.S
-    assert mat_mul(result.U, result.Uinv) == identity_matrix(m)
-    assert mat_mul(result.V, result.Vinv) == identity_matrix(n)
-    return result
 
 
 @lru_cache(maxsize=None)
 def _snf_cached(A: Mat) -> SNF:
-    return _snf_ext(A)
+    result = _snf_ext(A)
+    # postconditions are cheap at desk scale, so always check them
+    m = len(A)
+    n = len(A[0]) if m else 0
+    check_invariant(mat_mul(mat_mul(result.U, A), result.V) == result.S, "Smith normal form: U A V != S")
+    check_invariant(mat_mul(result.U, result.Uinv) == identity_matrix(m), "Smith normal form: U Uinv != 1")
+    check_invariant(mat_mul(result.V, result.Vinv) == identity_matrix(n), "Smith normal form: V Vinv != 1")
+    return result
 
 
 def snf(A) -> SNF:
@@ -281,6 +283,25 @@ def solve_rational(A_rows, b):
     for r, c in enumerate(pivots):
         x[c] = rows[r][n]
     return x
+
+
+def rational_span(ambient_rank: int, generators):
+    """The rational span of the generators as (key, normals).  The key is
+    its reduced row echelon basis, so equal spans have equal keys; normals
+    are primitive integer vectors spanning its perp over Q, computed from
+    the key (not a lattice basis of the perp)."""
+    rows, pivots = _rref(list(generators))
+    normals = []
+    for f in range(ambient_rank):
+        if f in pivots:
+            continue
+        m = [Fraction(0)] * ambient_rank
+        m[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            m[c] = -rows[r][f]
+        scale = lcm(*(x.denominator for x in m))
+        normals.append(primitive(tuple(int(x * scale) for x in m)))
+    return tuple(tuple(row) for row in rows[: len(pivots)]), tuple(normals)
 
 
 def invert_rational(A_rows):
@@ -394,9 +415,11 @@ class QuotientMap:
 
     def __post_init__(self):
         for v in self.kernel.basis:
-            assert is_zero(mat_vec(self.projection, v))
+            check_invariant(is_zero(mat_vec(self.projection, v)), "quotient map: projection misses the kernel")
         proj_of_section = tuple(mat_vec(self.projection, row) for row in self.section)
-        assert proj_of_section == identity_matrix(self.quotient_rank)
+        check_invariant(
+            proj_of_section == identity_matrix(self.quotient_rank), "quotient map: section is not a right inverse"
+        )
 
     @property
     def quotient_rank(self) -> int:
@@ -524,7 +547,7 @@ def normal_generator(tau: Sublattice, sigma: Sublattice, witness: Vec) -> Vec:
         raise ValueError("witness does not lie on the sigma side")
     target = gen_image if lam > 0 else vec_neg(gen_image)
     y = _solve_integer(images, target)
-    assert y is not None
+    check_invariant(y is not None, "normal_generator: the generator is not in sigma's lattice")
     x0 = (0,) * sigma.ambient_rank
     for c, b in zip(y, sigma.basis):
         x0 = vec_add(x0, vec_scale(c, b))

@@ -32,21 +32,22 @@ def signed_sum(terms) -> str:
     return text or "0"
 
 
-def power(base, k: int, one):
+def power(base, k: int, one, check=lambda x: x):
     """base ** k by repeated squaring, given the ring's unit `one`.
 
     Stops as soon as a power of the base vanishes, so a huge exponent of a
-    nilpotent class costs a handful of products.
+    nilpotent class costs a handful of products.  Every product is passed
+    through `check`, which may raise to bound the work.
     """
     if k < 0:
         raise ValueError("negative exponent")
     out = one
     while k:
         if k & 1:
-            out = out * base
+            out = check(out * base)
         k >>= 1
         if k:
-            base = base * base
+            base = check(base * base)
             if base.is_zero():
                 return base
     return out

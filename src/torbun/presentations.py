@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
-from .errors import ConeNotInFan, OracleRequiresSmoothComplete
+from .errors import ConeNotInFan, OracleRequiresSmoothComplete, check_invariant
 from .fans import Cone, Fan, cone_sublattice, is_complete
 from .lattice import Vec, dot, invert_rational, perp_basis
 from .weights import MinkowskiWeight, Relation, _assert_balanced, relation_at
@@ -99,7 +99,7 @@ def _dual_character(fan: Fan, sigma_star: Cone, ray: Vec) -> Vec:
     inv = invert_rational(mat)
     j = sigma_star.rays.index(ray)
     col = [inv[i][j] for i in range(len(inv))]
-    assert all(c.denominator == 1 for c in col)
+    check_invariant(all(c.denominator == 1 for c in col), "dual character of a smooth cone is not integral")
     return tuple(int(c) for c in col)
 
 

@@ -15,16 +15,21 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import GradedAlgebra, MixingMap, make_free_truncated, point_algebra, projective_space_algebra
-from .errors import TorbunError
+from .errors import InvariantViolation, TorbunError
 from .fans import Cone, Fan, fan_from_ray_lists
 from .lattice import Sublattice
-from .polynomials import Polynomial
+from .polynomials import Polynomial, power
 from .presentations import poincare_dual_mw
 from .weights import MinkowskiWeight
 
 
 class ProblemError(TorbunError):
     """A problem file failed validation."""
+
+
+# integer literals, exponents and the coefficients of every intermediate
+# result of an expression have at most this many digits
+MAX_DIGITS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -47,13 +52,33 @@ def _tokenize(text: str):
     return out
 
 
-def parse_expression(text: str, atom, constant):
+def _too_long(text: str) -> ProblemError:
+    return ProblemError(f"a number in {text[:40]!r} has more than {MAX_DIGITS} digits")
+
+
+def _parse_int(tok: str, text: str) -> int:
+    if len(tok) > MAX_DIGITS:
+        raise _too_long(text)
+    return int(tok)
+
+
+def parse_expression(text: str, atom, constant, coefficients):
     """Evaluate an expression string in a commutative ring.
 
-    `atom(name)` resolves generator names, `constant(i)` embeds integers.
+    `atom(name)` resolves generator names, `constant(i)` embeds integers and
+    `coefficients(value)` lists a ring value's integer coefficients.  Every
+    sum, product and step of a power is refused once a coefficient reaches
+    10**MAX_DIGITS in absolute value, so a huge power of a constant stops
+    after a few squarings instead of exhausting memory.
     """
     tokens = _tokenize(text)
     pos = 0
+    limit = 10**MAX_DIGITS
+
+    def checked(value):
+        if any(abs(c) >= limit for c in coefficients(value)):
+            raise _too_long(text)
+        return value
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -77,14 +102,14 @@ def parse_expression(text: str, atom, constant):
             while peek() in ("+", "-"):
                 if take() == "-":
                     sign = -sign
-            value = value + parse_term() * sign
+            value = checked(value + parse_term() * sign)
         return value
 
     def parse_term():
         value = parse_power()
         while peek() == "*":
             take("*")
-            value = value * parse_power()
+            value = checked(value * parse_power())
         return value
 
     def parse_power():
@@ -94,7 +119,7 @@ def parse_expression(text: str, atom, constant):
             exp = take()
             if not exp.isdigit():
                 raise ProblemError(f"exponent must be a nonnegative integer in {text!r}")
-            return base ** int(exp)
+            return power(base, _parse_int(exp, text), constant(1), checked)
         return base
 
     def parse_atom():
@@ -109,7 +134,7 @@ def parse_expression(text: str, atom, constant):
             return -parse_atom()
         tok = take()
         if tok.isdigit():
-            return constant(int(tok))
+            return constant(_parse_int(tok, text))
         return atom(tok)
 
     value = parse_sum()
@@ -124,7 +149,7 @@ def parse_class_expression(text: str, algebra: GradedAlgebra):
             raise ProblemError(f"unknown class generator {name!r}")
         return algebra.basis_element(name)
 
-    return parse_expression(text, atom, lambda c: algebra.one() * c)
+    return parse_expression(text, atom, lambda c: algebra.one() * c, lambda el: el.coeffs.values())
 
 
 def parse_polynomial_expression(text: str, num_vars: int) -> Polynomial:
@@ -136,7 +161,7 @@ def parse_polynomial_expression(text: str, num_vars: int) -> Polynomial:
             raise ProblemError(f"variable {name!r} out of range 1..{num_vars}")
         return Polynomial.variable(num_vars, i - 1)
 
-    return parse_expression(text, atom, lambda c: Polynomial.constant(num_vars, c))
+    return parse_expression(text, atom, lambda c: Polynomial.constant(num_vars, c), lambda p: p.terms.values())
 
 
 def parse_divisor_monomial(text: str, num_rays: int, max_degree: int):
@@ -155,14 +180,14 @@ def parse_divisor_monomial(text: str, num_rays: int, max_degree: int):
             m = re.fullmatch(r"D(\d+)", tok)
             if not m:
                 raise ProblemError(f"divisor monomials look like D1*D2^2, got {text!r}")
-            idx = int(m.group(1)) - 1
+            idx = _parse_int(m.group(1), text) - 1
             if not 0 <= idx < num_rays:
                 raise ProblemError(f"ray index out of range in {text!r}")
             power = 1
             if pos + 1 < len(tokens) and tokens[pos + 1] == "^":
                 if pos + 2 == len(tokens) or not tokens[pos + 2].isdigit():
                     raise ProblemError(f"divisor monomials look like D1*D2^2, got {text!r}")
-                power = int(tokens[pos + 2])
+                power = _parse_int(tokens[pos + 2], text)
                 pos += 2
             factors.append((idx, power))
             expect_factor = False
@@ -367,6 +392,8 @@ def parse_problem(text: str, path: str = "<memory>") -> Problem:
             raise ProblemError(f"{path}: cone {c!r} must index into the ray list")
     try:
         fan = fan_from_ray_lists(rank, [tuple(r) for r in rays], [tuple(c) for c in cones])
+    except InvariantViolation:
+        raise
     except (TorbunError, ValueError) as exc:
         raise ProblemError(f"{path}: invalid fan: {exc}") from exc
 

@@ -3,7 +3,9 @@
 A weight of codimension k assigns to each cone a class of the base ring,
 homogeneous of cohomological degree k - codim(cone), subject to the
 balancing condition.  Products are computed by displacing the fan by a
-certified generic vector and summing over pairs of cones that still meet.
+certified generic vector and summing over pairs of cones that still meet;
+whether a pair meets is decided by one rational solve, and the pairs found
+are kept on the fan for the vector.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from .errors import BalancingError, FanNotComplete, NonGenericVector
 from .fans import (
     Cone,
     Fan,
-    _shift_dim,
     cone_sublattice,
     is_complete,
     is_generic_diagonal,
     sigma_v_set,
 )
-from .lattice import Sublattice, Vec, dot, lattice_index, normal_generator, perp_basis
+from .lattice import Sublattice, Vec, dot, lattice_index, normal_generator, perp_basis, solve_rational
 
 
 class MinkowskiWeight:
@@ -166,24 +167,54 @@ def module_action(c: AlgebraElement, W: MinkowskiWeight) -> MinkowskiWeight:
 def displacement_pairs(fan: Fan, tau: Cone, v):
     """Ordered pairs (sigma1, sigma2, index) entering the displacement rule
     at tau: both contain tau, codims add to codim(tau), and sigma1 still
-    meets sigma2 + v.  The index is [N : N_sigma1 + N_sigma2]."""
+    meets sigma2 + v.  The index is [N : N_sigma1 + N_sigma2].
+
+    Raises NonGenericVector when v lies on a diagonal wall.  The fan keeps
+    the pairs of the last vector used on it in `fan.displacement_table`, a
+    pair (v, {tau: pairs}) that a new vector replaces.
+    """
     v = tuple(v)
+    if fan.displacement_table is None or fan.displacement_table[0] != v:
+        if not is_generic_diagonal(fan, v):
+            raise NonGenericVector(f"displacement vector {v} lies on a wall; it is not generic")
+        fan.displacement_table = (v, {})
+    table = fan.displacement_table[1]
+    if tau not in table:
+        table[tau] = _pairs_at(fan, tau, v)
+    return list(table[tau])
+
+
+def _pairs_at(fan: Fan, tau: Cone, v: Vec):
+    """The displacement pairs at tau for a generic v, one rational solve per
+    candidate.
+
+    Write S_i = span(sigma_i), T = span(tau).  Translating by points of tau
+    shows that sigma1 meets sigma2 + v iff their images meet in Q^n / T.
+    If x1 - x2 = v has no solution with x_i in S_i, they do not meet.  If it
+    has one, v lies in S_1 + S_2, which is then Q^n since v is on no wall;
+    so S_1 and S_2 meet in T, x1 is unique modulo T, and the pair meets iff
+    <u, x_i> >= 0 for the facet normals u of sigma_i that vanish on tau.
+    The index is finite because S_1 + S_2 = Q^n.
+    """
     n = fan.ambient_rank
-    out = []
     containing = fan.cones_containing(tau)
+    facing = {s: [u for u in s.facet_normals if not any(dot(u, r) for r in tau.rays)] for s in containing}
+    out = []
     for s1 in containing:
         for s2 in containing:
             if fan.codim(s1) + fan.codim(s2) != fan.codim(tau):
                 continue
-            if _shift_dim(s1, s2, v) < 0:
+            # x1 in S_1 and x1 - v in S_2
+            rows = list(s1.span_normals) + list(s2.span_normals)
+            rhs = [0] * len(s1.span_normals) + [dot(w, v) for w in s2.span_normals]
+            x1 = solve_rational(rows, rhs) if rows else [0] * n
+            if x1 is None:
                 continue
-            gens = cone_sublattice(s1).basis + cone_sublattice(s2).basis
-            idx = lattice_index(n, gens)
-            if not isinstance(idx, int):
-                raise NonGenericVector(
-                    f"infinite index at pair {fan.cone_key(s1)}, {fan.cone_key(s2)};"
-                    " displacement vector is not generic"
-                )
+            x2 = [a - b for a, b in zip(x1, v)]
+            meets = all(dot(u, x1) >= 0 for u in facing[s1]) and all(dot(u, x2) >= 0 for u in facing[s2])
+            if not meets:
+                continue
+            idx = lattice_index(n, cone_sublattice(s1).basis + cone_sublattice(s2).basis)
             out.append((s1, s2, idx))
     return out
 
@@ -249,14 +280,9 @@ def subbundle_class(fan: Fan, N: Sublattice, v) -> StratumClassSum:
     if not result.generic:
         bad = result.offending[0]
         raise NonGenericVector(
-            f"vector {v} is not generic for the sublattice: cone "
-            f"{fan.cone_key(bad)} has dimension {bad.dim}, expected {fan.ambient_rank - N.rank}"
+            f"vector {v} is not generic for the sublattice: it lies on the wall "
+            f"span(cone {fan.cone_key(bad)}) + span(sublattice)"
         )
-    terms = {}
-    for cone in result.cones:
-        gens = cone_sublattice(cone).basis + N.basis
-        idx = lattice_index(fan.ambient_rank, gens)
-        if not isinstance(idx, int):
-            raise NonGenericVector(f"infinite index at cone {fan.cone_key(cone)}")
-        terms[cone] = idx
+    # the cones of a generic v are transverse to N, so every index is finite
+    terms = {cone: lattice_index(fan.ambient_rank, cone_sublattice(cone).basis + N.basis) for cone in result.cones}
     return StratumClassSum(fan, terms)

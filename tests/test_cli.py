@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import resource
@@ -369,6 +370,96 @@ def test_huge_exponent_finishes(tmp_path, command, fixture, section, key, text, 
         capture_output=True, env=env, timeout=20, preexec_fn=cap,
     )
     assert done.returncode == want
+
+
+@pytest.mark.parametrize(
+    "section, text",
+    [
+        ("dual_to", "D1^" + "9" * 5000),
+        ("dual_to", "D" + "9" * 5000),
+        ("weights", "1 + 0*a1^" + "9" * 5000),
+        ("weights", "9" * 5000),
+        ("weights", "2^100000000000"),
+        ("weights", "1 + 0*(-3)^3000"),
+        ("weights", "(9^1047)*(9^1047)*(9^1047)*(9^1047)*(9^1047)"),
+        ("weights", "9^999*a1*9^999*9^999*9^999*9^999"),
+        ("weights", "1 + 0*(2 + 0*a1)^100000000000"),
+    ],
+    ids=[
+        "dual_to-exponent", "dual_to-ray", "weight-exponent", "weight-literal", "constant-power",
+        "negative-base", "constant-product", "coefficient-product", "class-power",
+    ],
+)
+def test_oversized_numbers_exit_2(tmp_path, section, text):
+    data = json.loads(open(F1_WEIGHTS).read())
+    if section == "dual_to":
+        data["weights"][0]["dual_to"] = text
+    else:
+        data["weights"][0]["values"]["[1]"] = text
+    path = tmp_path / "numbers.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(torbun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    done = subprocess.run(
+        [sys.executable, "-m", "torbun.cli", "check-balancing", str(path)],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "more than 1000 digits" in done.stderr
+    assert "Traceback" not in done.stderr and "int_max_str_digits" not in done.stderr
+
+
+def test_constant_powers_within_the_limit(tmp_path, capsys):
+    # powers of 0 and +-1 are never too large; 10^999 has 1000 digits
+    data = json.loads(open(F1_WEIGHTS).read())
+    data["weights"][0]["values"]["[1]"] = "(-1)^" + "9" * 1000 + " + 0^" + "9" * 1000 + " + 10^999 - 10^999 + 2"
+    path = tmp_path / "powers.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-balancing", str(path)]) == 0
+
+
+def test_invariant_violation_exits_3(capsys, monkeypatch):
+    real = torbun.lattice._snf_ext
+
+    def broken(A):
+        # U negated: U A V = -S, which the postcondition check must catch
+        r = real(A)
+        return dataclasses.replace(r, U=tuple(tuple(-a for a in row) for row in r.U))
+
+    monkeypatch.setattr(torbun.lattice, "_snf_ext", broken)
+    torbun.lattice._snf_cached.cache_clear()
+    assert main(["check-fan", F1_BUNDLE]) == 3
+    assert "Smith normal form" in capsys.readouterr().out
+    torbun.lattice._snf_cached.cache_clear()
+
+
+README_COMMANDS = [
+    ["check-fan", "fixtures/f1_bundle.json"],
+    ["presentation", "fixtures/f1_bundle.json", "--equivariant"],
+    ["mw-product", "fixtures/f1_weights.json", "--cross-check", "--oracle"],
+    ["pp-to-mw", "fixtures/f1_piecewise.json"],
+    ["equiv-mult", "fixtures/f1_piecewise.json", "--sigma", "[0,1]", "--tau", "[]"],
+    ["residue", "fixtures/f1_piecewise.json", "--tau", "[1]"],
+    ["subbundle", "fixtures/p1p1_skew.json"],
+]
+
+
+def test_readme_commands_identical_under_optimize(capsys, monkeypatch):
+    # python -O strips assert statements; the invariant checks and every
+    # output must not depend on them
+    root = FIXTURES.parent
+    monkeypatch.chdir(root)
+    src = str(Path(torbun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in README_COMMANDS:
+        code, out = run(capsys, *argv)
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "torbun.cli", *argv], capture_output=True, text=True, env=env, cwd=root, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (code, out), argv
+        assert code == 0
 
 
 def test_round_trip_is_idempotent():

@@ -9,6 +9,9 @@ import pytest
 
 import torbun as tb
 from torbun.fans import _contained_in_cone
+from torbun.problem import parse_problem
+
+from conftest import FIXTURES
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +157,24 @@ def assert_lattice_matches_is_face_sweeps(fan):
     )
 
 
-def test_face_lattice_matches_is_face_sweeps(f1_fan):
+def p1_cubed_fan():
     axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    p1_cubed = tb.fan_from_ray_lists(3, axes, list(itertools.product((0, 1), (2, 3), (4, 5))))
+    return tb.fan_from_ray_lists(3, axes, list(itertools.product((0, 1), (2, 3), (4, 5))))
+
+
+def cube_fan(shear=0):
+    """Face fan of the cube [-1,1]^3, under the coordinate change x1 += shear * x2."""
     corners = list(itertools.product((1, -1), repeat=3))
-    cube = tb.fan_from_ray_lists(
+    return tb.fan_from_ray_lists(
         3,
-        corners,
+        [(a + shear * b, b, c) for a, b, c in corners],
         [[i for i, r in enumerate(corners) if r[k] == sign] for k in range(3) for sign in (1, -1)],
     )
+
+
+def test_face_lattice_matches_is_face_sweeps(f1_fan):
+    p1_cubed = p1_cubed_fan()
+    cube = cube_fan()
     assert (len(p1_cubed.cones), len(p1_cubed.maximal_cones)) == (27, 8)
     assert (len(cube.cones), len(cube.maximal_cones)) == (27, 6)
     for fan in (f1_fan, p1_cubed, cube):
@@ -291,6 +303,89 @@ def test_find_generic_vector_deterministic(f1_fan):
     v2, att2 = tb.find_generic_vector(f1_fan, random.Random(0))
     assert v1 == v2 and att1 == att2
     assert tb.is_generic_diagonal(f1_fan, v1)
+
+
+def fm_is_generic_diagonal(fan, v):
+    """The Fourier-Motzkin certifier the wall test replaced: no pair in
+    single_point_pairs(fan, v) has non-complementary dimensions.  Only those
+    pairs are computed, which is several times faster."""
+    n = fan.ambient_rank
+    return all(
+        tb.cone_shift_intersect(s1, s2, v).dim != 0
+        for s1 in fan.cones
+        for s2 in fan.cones
+        if s1.dim + s2.dim != n
+    )
+
+
+def fm_displacement_pairs(fan, tau, v):
+    """Cone pairs over tau of complementary codimension whose shifted
+    intersection is non-empty, by Fourier-Motzkin."""
+    containing = fan.cones_containing(tau)
+    return [
+        (s1, s2)
+        for s1 in containing
+        for s2 in containing
+        if fan.codim(s1) + fan.codim(s2) == fan.codim(tau)
+        and not tb.cone_shift_intersect(s1, s2, v).is_empty
+    ]
+
+
+def fixture_fan(name):
+    return parse_problem((FIXTURES / f"{name}.json").read_text()).fan
+
+
+@pytest.fixture(scope="module")
+def complete_fans(f1_fan):
+    return {
+        "f1": f1_fan,
+        "singular_fan": fixture_fan("singular_fan"),
+        "p1p1_skew": fixture_fan("p1p1_skew"),
+        "p1^3": p1_cubed_fan(),
+        "cube": cube_fan(),
+        "sheared cube": cube_fan(1),
+    }
+
+
+def test_walls_match_fm_certifier(complete_fans):
+    # on complete fans the wall test and the Fourier-Motzkin test agree;
+    # Fourier-Motzkin takes up to seconds per generic vector in rank 3
+    rng = random.Random(11)
+    verdicts = Counter()
+    for name in ("f1", "singular_fan", "p1p1_skew", "p1^3", "cube"):
+        fan = complete_fans[name]
+        n = fan.ambient_rank
+        vectors = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range({2: 8, 3: 1}[n])]
+        vectors.append(tb.find_generic_vector(fan, random.Random(0))[0])
+        for v in vectors:
+            walls = tb.is_generic_diagonal(fan, v)
+            assert walls == fm_is_generic_diagonal(fan, v), (name, v)
+            verdicts[n, walls] += 1
+    assert all(verdicts[n, walls] for n in (2, 3) for walls in (True, False))
+
+
+def test_displacement_pairs_match_fm(complete_fans):
+    for name, fan in complete_fans.items():
+        v, _attempts = tb.find_generic_vector(fan, random.Random(0))
+        for tau in fan.cones:
+            got = [(s1, s2) for s1, s2, _index in tb.displacement_pairs(fan, tau, v)]
+            assert got == fm_displacement_pairs(fan, tau, v), (name, v, tau)
+
+
+def test_displacement_pairs_reject_wall_vector(f1_fan):
+    # (1, 1) spans the ray of (1, 1): the pair (ray, ray) at the origin is on a wall
+    with pytest.raises(tb.NonGenericVector):
+        tb.displacement_pairs(f1_fan, f1_fan.zero_cone(), (1, 1))
+
+
+def test_walls_stricter_than_fm_off_complete_fans():
+    # the cone over a square is not complete.  (3, 2, 2) = 3 (1,0,0) + 2 (0,1,1)
+    # lies on the wall spanned by those two rays, yet no shifted intersection
+    # is a single point of cones of the wrong dimensions, so only the wall
+    # test rejects it
+    fan = fixture_fan("cone_over_square")
+    assert not tb.is_generic_diagonal(fan, (3, 2, 2))
+    assert fm_is_generic_diagonal(fan, (3, 2, 2))
 
 
 # ---------------------------------------------------------------------------

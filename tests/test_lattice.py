@@ -297,3 +297,14 @@ def test_normal_generator_primitive_in_quotient():
             Fraction(a, b) for a, b in zip(wimg, img) if b != 0
         )
         assert ratio > 0
+
+
+def test_snf_postcondition_is_an_invariant_violation(monkeypatch):
+    # a wrong Smith form (here the form of another matrix) must raise, not
+    # return, also under python -O where a plain assert would vanish
+    real = tb.lattice._snf_ext
+    monkeypatch.setattr(tb.lattice, "_snf_ext", lambda A: real(((1, 0), (0, 3))))
+    tb.lattice._snf_cached.cache_clear()
+    with pytest.raises(tb.InvariantViolation):
+        smith_normal_form(((1, 0), (0, 2)))
+    tb.lattice._snf_cached.cache_clear()

@@ -241,3 +241,46 @@ def test_weight_rejects_out_of_band(f1_fan, base_algebra, mixing):
     tau = f1_fan.cone_by_ray_indices([0])
     with pytest.raises(ValueError):
         tb.MinkowskiWeight(f1_fan, base_algebra, mixing, 0, {tau: base_algebra.one()})
+
+
+def test_displacement_work_counts(monkeypatch, f1_fan, mixing):
+    # work counts, not wall time: with the fan built, genericity, products
+    # and subbundles build no Fourier-Motzkin polyhedron, and a second
+    # product at the same vector reuses the fan's displacement pairs
+    p1_cubed = tb.fan_from_ray_lists(
+        3,
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+        [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+    )
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    cases = [
+        (f1_fan, mixing, tb.Sublattice(2, ((1, 1),))),
+        (p1_cubed, tb.MixingMap(p1, [h, h, p1.zero()]), tb.Sublattice(3, ((1, 1, 1),))),
+    ]
+    counts = {"polyhedra": 0, "solves": 0}
+    real_init = tb.Polyhedron.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["polyhedra"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counted_solve(rows, rhs):
+        counts["solves"] += 1
+        return tb.lattice.solve_rational(rows, rhs)
+
+    monkeypatch.setattr(tb.Polyhedron, "__init__", counted_init)
+    monkeypatch.setattr(tb.weights, "solve_rational", counted_solve)
+    for fan, mix, N in cases:
+        W1 = tb.poincare_dual_mw(fan, mix, [0])
+        W2 = tb.poincare_dual_mw(fan, mix, [2])
+        counts.update(polyhedra=0, solves=0)
+        v, _attempts = tb.find_generic_vector(fan, random.Random(0))
+        first = tb.mw_product(W1, W2, v)
+        u, _attempts = tb.find_generic_vector(fan, random.Random(0), lambda f, u: tb.sigma_v_set(f, N, u).generic)
+        tb.subbundle_class(fan, N, u)
+        assert counts["polyhedra"] == 0
+        assert fan is f1_fan or counts["solves"] > 0  # the session's F1 may have the pairs already
+        counts["solves"] = 0
+        assert tb.mw_product(W1, W2, v) == first
+        assert counts == {"polyhedra": 0, "solves": 0}
