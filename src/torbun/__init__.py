@@ -43,7 +43,6 @@ from .fans import (
     Cone,
     Fan,
     cone_from_rays,
-    cone_shift_intersect,
     cone_sublattice,
     fan_from_ray_lists,
     fan_product,
@@ -54,7 +53,6 @@ from .fans import (
     is_generic_diagonal,
     multiplicity,
     sigma_v_set,
-    single_point_pairs,
     star_fan,
     triangulate,
     zero_cone,
@@ -74,7 +72,6 @@ from .lattice import (
     smith_normal_form,
     zero_sublattice,
 )
-from .polyhedra import Polyhedron
 from .polynomials import LinearFraction, Polynomial, divide_exact
 from .presentations import (
     Presentation,

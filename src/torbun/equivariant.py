@@ -105,7 +105,7 @@ def _star_multiplicity_data(sigma: Cone, tau: Cone):
     out = []
     for piece in triangulate(image):
         lifts = [q.lift(w) for w in piece.rays]
-        pairing = [[Fraction(dot(m, w)) for w in lifts] for m in mtau]
+        pairing = [[dot(m, w) for w in lifts] for m in mtau]
         inv = invert_rational(pairing)
         if inv is None:
             raise ValueError("degenerate dual-basis system in the star")

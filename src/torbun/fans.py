@@ -4,9 +4,9 @@ Cones are given by primitive ray generators; facet structure is computed by
 brute-force hyperplane enumeration, which is exact and adequate up to the
 declared ambient-rank cap of 4.  A fan is closed under faces; its face lattice
 is built once, and validation checks that pairs of maximal cones meet in
-common faces.  That check is the one use of Fourier-Motzkin elimination;
-genericity of displacement vectors is decided by lattice algebra against
-walls computed once per fan.
+common faces, by the same brute-force enumeration modulo the common face.
+Genericity of displacement vectors is decided against walls computed once
+per fan.  All of it is exact integer and rational linear algebra.
 """
 
 from __future__ import annotations
@@ -33,15 +33,15 @@ from .lattice import (
     perp_basis,
     primitive,
     quotient_map,
+    rational_kernel,
     rational_rank,
     rational_span,
     saturated_span,
     snf,
-    solve_rational,
+    solve_scaled,
     vec_add,
     vec_neg,
 )
-from .polyhedra import Polyhedron
 
 RANK_CAP = 4
 GENERIC_SEARCH_ATTEMPTS = 1000
@@ -116,13 +116,13 @@ def _cone_from_primitive_rays(ambient_rank: int, prims: tuple) -> Cone:
     span_normals = tuple(perp_basis(span))
     facets = _facet_normals(ambient_rank, prims, d, span_normals)
     all_normals = list(facets.values()) + list(span_normals)
-    if rational_rank([list(map(Fraction, v)) for v in all_normals] or [[Fraction(0)] * ambient_rank]) != ambient_rank:
+    if rational_rank(all_normals) != ambient_rank:
         if ambient_rank > 0:
             raise NotStronglyConvex(f"cone on {prims} contains a line")
     extreme = []
     for r in prims:
         vanishing = [u for u in all_normals if dot(u, r) == 0]
-        if rational_rank([list(map(Fraction, v)) for v in vanishing] or [[Fraction(0)] * ambient_rank]) == ambient_rank - 1:
+        if rational_rank(vanishing) == ambient_rank - 1:
             extreme.append(r)
     return Cone(ambient_rank, extreme, d, tuple(facets.values()), span_normals)
 
@@ -133,7 +133,7 @@ def _facet_normals(ambient_rank, prims, d, span_normals):
     if d == 0:
         return facets
     for subset in itertools.combinations(prims, d - 1):
-        if subset and rational_rank([list(map(Fraction, v)) for v in subset]) != d - 1:
+        if subset and rational_rank(subset) != d - 1:
             continue
         K = perp_basis(saturated_span(ambient_rank, subset))
         candidate = None
@@ -200,23 +200,6 @@ def faces_of(sigma: Cone):
     return list(seen.values())
 
 
-def _cone_pair_polyhedron(c1: Cone, c2: Cone, shift=None) -> Polyhedron:
-    n = c1.ambient_rank
-    shift = shift or (0,) * n
-    ineqs = [(u, 0) for u in c1.facet_normals]
-    eqs = [(w, 0) for w in c1.span_normals]
-    ineqs += [(u, dot(u, shift)) for u in c2.facet_normals]
-    eqs += [(w, dot(w, shift)) for w in c2.span_normals]
-    return Polyhedron(n, ineqs, eqs)
-
-
-def cone_shift_intersect(sigma1: Cone, sigma2: Cone, v) -> Polyhedron:
-    """The polyhedron sigma1 intersect (sigma2 + v), by Fourier-Motzkin."""
-    if sigma1.ambient_rank != sigma2.ambient_rank:
-        raise ValueError("ambient rank mismatch")
-    return _cone_pair_polyhedron(sigma1, sigma2, tuple(v))
-
-
 class Fan:
     """A fan: cones closed under faces, intersecting in common faces; the
     face lattice is built once, and validation checks maximal pairs only.
@@ -225,7 +208,8 @@ class Fan:
     cones' spans and the diagonal's genericity walls (`cone_spans`,
     `diagonal_walls`, built on first use) and `displacement_table`, the
     displacement pairs that `weights.displacement_pairs` has found for the
-    last vector used, per cone.
+    last vector used, per cone.  Smoothness and completeness are decided on
+    first use too, once per fan.
     """
 
     def __init__(self, ambient_rank, cones, rays=None, validate=True):
@@ -284,7 +268,7 @@ class Fan:
         # faces of cones meeting in a common face meet in a face of it, so
         # pairs of maximal cones are enough
         for c1, c2 in itertools.combinations(self.maximal_cones, 2):
-            if not _contained_in_cone(c1, c2, self.common_face(c1, c2)):
+            if not _meet_in_face(c1, c2, self.common_face(c1, c2)):
                 raise InvalidFan(
                     f"cones {self.cone_key(c1)} and {self.cone_key(c2)} do not meet in a face"
                 )
@@ -317,7 +301,35 @@ class Fan:
         return zero_cone(self.ambient_rank)
 
     def is_smooth(self) -> bool:
+        return self._smooth
+
+    @cached_property
+    def _smooth(self) -> bool:
         return all(c.is_simplicial and multiplicity(c) == 1 for c in self.cones)
+
+    @cached_property
+    def _complete(self) -> bool:
+        n = self.ambient_rank
+        maxes = self.maximal_cones  # never empty: the zero cone is in every fan
+        if any(c.dim != n for c in maxes):
+            return False
+        adjacency = {id(c): set() for c in maxes}
+        for ridge in self.cones:
+            if ridge.dim != n - 1:
+                continue
+            owners = [c for c in self._containing[ridge] if c.dim == n]
+            if len(owners) != 2:
+                return False
+            adjacency[id(owners[0])].add(id(owners[1]))
+            adjacency[id(owners[1])].add(id(owners[0]))
+        seen = {id(maxes[0])}
+        frontier = [id(maxes[0])]
+        while frontier:
+            for nbr in adjacency[frontier.pop()]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    frontier.append(nbr)
+        return len(seen) == len(maxes)
 
     def is_simplicial(self) -> bool:
         return all(c.is_simplicial for c in self.cones)
@@ -332,8 +344,11 @@ class Fan:
         """The walls of the diagonal: the distinct proper subspaces
         span(s1) + span(s2) for cones s1, s2 of the fan, each given by
         normal vectors spanning its perp."""
-        spans = dict.fromkeys(self.cone_spans.values())
-        walls = (_wall(self.ambient_rank, A, B) for A, B in itertools.combinations_with_replacement(spans, 2))
+        spans = {}  # a span's key -> the rays of one cone spanning it
+        for c, key in self.cone_spans.items():
+            spans.setdefault(key, c.rays)
+        pairs = itertools.combinations_with_replacement(spans.values(), 2)
+        walls = (_wall(self.ambient_rank, A, B) for A, B in pairs)
         return tuple(dict.fromkeys(w for w in walls if w is not None))
 
 
@@ -350,47 +365,39 @@ def fan_from_ray_lists(ambient_rank, rays, cones_as_indices) -> Fan:
     return Fan(ambient_rank, cones, rays=rays)
 
 
-def _contained_in_cone(c1: Cone, c2: Cone, target: Cone) -> bool:
-    """Exact check that c1 intersect c2 is contained in target."""
-    base = _cone_pair_polyhedron(c1, c2)
-    n = c1.ambient_rank
-    checks = []
-    for u in target.facet_normals:
-        checks.append([(tuple(-a for a in u), 1)])
-    for w in target.span_normals:
-        checks.append([(w, 1)])
-        checks.append([(tuple(-a for a in w), 1)])
-    for extra in checks:
-        ineqs = [(c, b) for (c, b, _s) in base.rows] + extra
-        if not Polyhedron(n, ineqs).is_empty:
-            return False
+def _meet_in_face(s1: Cone, s2: Cone, tau: Cone) -> bool:
+    """True iff s1 meets s2 in tau, for tau a common face of both.
+
+    Each s_i meets span(tau) in tau, so s1 meets s2 in tau exactly when
+    their images in Q^n / span(tau) meet only in 0.  Represent the quotient
+    by the vectors orthogonal to tau's rays; there the images meet in the
+    cone C cut out by the span normals of s1 and s2 (= 0) and the facet
+    normals of each s_i that vanish on tau (>= 0).  C holds no line, since
+    the facets of s_i through tau meet span(s_i) in span(tau).  So C = 0 iff
+    it has no extreme ray: no line where the equalities and some
+    n - 1 - rank(equalities) facet rows vanish lies, with either sign, on
+    the side >= 0 of every facet row.
+    """
+    n = s1.ambient_rank
+    eqs = list(tau.rays) + list(s1.span_normals) + list(s2.span_normals)
+    facets = [u for s in (s1, s2) for u in s.facet_normals if not any(dot(u, r) for r in tau.rays)]
+    k = n - 1 - rational_rank(eqs)
+    if k < 0:
+        return True  # the equalities alone cut out 0
+    for subset in itertools.combinations(facets, k):
+        line = rational_kernel(n, eqs + list(subset))
+        if len(line) == 1:
+            evals = [dot(u, line[0]) for u in facets]
+            if all(e >= 0 for e in evals) or all(e <= 0 for e in evals):
+                return False
     return True
 
 
 def is_complete(fan: Fan) -> bool:
     """Support covers the whole space: pure, every ridge in exactly two
-    maximal cones, and the maximal cones connected through shared ridges."""
-    n = fan.ambient_rank
-    maxes = fan.maximal_cones  # never empty: the zero cone is in every fan
-    if any(c.dim != n for c in maxes):
-        return False
-    ridges = [c for c in fan.cones if c.dim == n - 1]
-    adjacency = {id(c): set() for c in maxes}
-    for ridge in ridges:
-        owners = [c for c in fan.cones_containing(ridge) if c.dim == n]
-        if len(owners) != 2:
-            return False
-        adjacency[id(owners[0])].add(id(owners[1]))
-        adjacency[id(owners[1])].add(id(owners[0]))
-    seen = {id(maxes[0])}
-    frontier = [id(maxes[0])]
-    while frontier:
-        cur = frontier.pop()
-        for nbr in adjacency[cur]:
-            if nbr not in seen:
-                seen.add(nbr)
-                frontier.append(nbr)
-    return len(seen) == len(maxes)
+    maximal cones, and the maximal cones connected through shared ridges.
+    Decided once per fan."""
+    return fan._complete
 
 
 def star_fan(tau: Cone, fan: Fan):
@@ -468,21 +475,14 @@ def triangulate(sigma: Cone):
 # implies that every cone pair, or cone, meeting the displaced subspace in a
 # single point has the complementary dimension.  The converse can fail off
 # complete fans: on the cone over a square the wall test rejects (3, 2, 2),
-# which the single-point test (`single_point_pairs`) accepts.
-
-
-def single_point_pairs(fan: Fan, v):
-    """Ordered cone pairs whose shifted intersection is a single point,
-    decided by Fourier-Motzkin (a reference for the wall test)."""
-    v = tuple(v)
-    return [(s1, s2) for s1 in fan.cones for s2 in fan.cones if cone_shift_intersect(s1, s2, v).dim == 0]
+# which the single-point test by Fourier-Motzkin elimination accepts.
 
 
 def _wall(n: int, A: tuple, B: tuple):
-    """Normals of the wall span(A) + span(B), for tuples of vectors A and B,
-    or None when it is all of Q^n.  The normals depend only on the wall."""
-    key, normals = rational_span(n, A + B)
-    return normals if len(key) < n else None
+    """Normals of the wall span(A) + span(B), for tuples of integer vectors
+    A and B, or None when it is all of Q^n.  The normals depend only on the
+    wall."""
+    return rational_kernel(n, A + B) or None
 
 
 def is_generic_diagonal(fan: Fan, v) -> bool:
@@ -543,13 +543,13 @@ def sigma_v_set(fan: Fan, N: Sublattice, v) -> SigmaVResult:
     if not is_saturated(N):
         raise NotSaturated("the subbundle sublattice must be saturated")
     codim = n - N.rank
-    N_normals = rational_span(n, N.basis)[1]
-    walls = {}  # a cone span -> normals of its wall with N, None if no wall
+    N_normals = rational_kernel(n, N.basis)
+    walls = {}  # a cone span's key -> normals of its wall with N, None if no wall
     cones, offending = [], []
     for cone in fan.cones:
         span = fan.cone_spans[cone]
         if span not in walls:
-            walls[span] = _wall(n, span, N.basis)
+            walls[span] = _wall(n, cone.rays, N.basis)
         normals = walls[span]
         if normals is not None:
             if not any(dot(u, v) for u in normals):
@@ -557,7 +557,7 @@ def sigma_v_set(fan: Fan, N: Sublattice, v) -> SigmaVResult:
         elif cone.dim == codim:
             # the point x of span(sigma) with x - v in span(N)
             rhs = [0] * len(cone.span_normals) + [dot(u, v) for u in N_normals]
-            x = solve_rational(list(cone.span_normals) + list(N_normals), rhs)
+            x, _d = solve_scaled(list(cone.span_normals) + list(N_normals), rhs)
             if all(dot(u, x) >= 0 for u in cone.facet_normals):
                 cones.append(cone)
     return SigmaVResult(cones, not offending, offending)

@@ -238,80 +238,124 @@ def smith_normal_form(A) -> tuple[Mat, Mat, Mat]:
 
 
 # ---------------------------------------------------------------------------
-# rational Gaussian elimination
+# rational Gaussian elimination, carried out on integer rows
+
+
+def _integer_row(row) -> list:
+    """The row as ints: a row with a Fraction entry is scaled by the lcm of
+    its denominators."""
+    if all(type(a) is int for a in row):
+        return list(row)
+    row = [Fraction(a) for a in row]
+    d = lcm(*(a.denominator for a in row))
+    return [a.numerator * (d // a.denominator) for a in row]
+
+
+def _content_free(row: list) -> list:
+    g = gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
 
 
 def _rref(rows):
-    """Reduced row echelon form over Fraction. Returns (rows, pivot_cols)."""
-    rows = [[Fraction(a) for a in row] for row in rows]
-    pivots = []
-    r = 0
+    """Reduced row echelon form over Q, eliminated fraction-free.
+
+    Returns (rows, pivots): one integer row per pivot column, its entries
+    coprime and its pivot positive.  Row i divided by its entry at
+    pivots[i] is row i of the reduced row echelon form, which is unique.
+    Every intermediate row is divided by the gcd of its entries.
+    """
+    rows = [_content_free(_integer_row(row)) for row in rows]
     ncols = len(rows[0]) if rows else 0
+    pivots = []
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [a / pv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _content_free([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
-    return rows, pivots
+    out = []
+    for row, c in zip(rows, pivots):
+        out.append(row if row[c] > 0 else [-a for a in row])
+    return out, pivots
 
 
 def rational_rank(rows) -> int:
-    if not rows:
-        return 0
     return len(_rref(rows)[1])
+
+
+def solve_scaled(A_rows, b):
+    """One solution of A x = b as (X, d): integers X and d > 0 with x = X / d,
+    or None if inconsistent."""
+    n = len(A_rows[0]) if A_rows else 0
+    rows, pivots = _rref([list(A_rows[i]) + [b[i]] for i in range(len(A_rows))])
+    if n in pivots:
+        return None
+    d = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    X = [0] * n
+    for row, c in zip(rows, pivots):
+        X[c] = row[n] * (d // row[c])
+    return X, d
 
 
 def solve_rational(A_rows, b):
     """One solution x of A x = b over Fraction, or None if inconsistent."""
-    m = len(A_rows)
-    n = len(A_rows[0]) if m else 0
-    aug = [list(A_rows[i]) + [b[i]] for i in range(m)]
-    rows, pivots = _rref(aug)
-    if n in pivots:
+    solution = solve_scaled(A_rows, b)
+    if solution is None:
         return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
-    return x
+    X, d = solution
+    return [Fraction(a, d) for a in X]
 
 
-def rational_span(ambient_rank: int, generators):
-    """The rational span of the generators as (key, normals).  The key is
-    its reduced row echelon basis, so equal spans have equal keys; normals
-    are primitive integer vectors spanning its perp over Q, computed from
-    the key (not a lattice basis of the perp)."""
-    rows, pivots = _rref(list(generators))
+def _perp(ambient_rank: int, rows, pivots):
+    """Primitive integer vectors spanning the perp of an echelon form's rows,
+    one per free column."""
+    d = lcm(*(row[c] for row, c in zip(rows, pivots)))
     normals = []
     for f in range(ambient_rank):
         if f in pivots:
             continue
-        m = [Fraction(0)] * ambient_rank
-        m[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            m[c] = -rows[r][f]
-        scale = lcm(*(x.denominator for x in m))
-        normals.append(primitive(tuple(int(x * scale) for x in m)))
-    return tuple(tuple(row) for row in rows[: len(pivots)]), tuple(normals)
+        m = [0] * ambient_rank
+        m[f] = d
+        for row, c in zip(rows, pivots):
+            m[c] = -row[f] * (d // row[c])
+        normals.append(primitive(tuple(m)))
+    return tuple(normals)
+
+
+def rational_kernel(ambient_rank: int, rows):
+    """Primitive integer vectors spanning {x : <row, x> = 0 for every row}
+    over Q (not a lattice basis); empty when the rows have full rank."""
+    return _perp(ambient_rank, *_rref(rows))
+
+
+def rational_span(ambient_rank: int, generators):
+    """The rational span of the generators as (key, normals).  The key is
+    its reduced row echelon basis over Fraction, so equal spans have equal
+    keys; normals are primitive integer vectors spanning its perp over Q,
+    computed from the key (not a lattice basis of the perp)."""
+    rows, pivots = _rref(generators)
+    key = tuple(tuple(Fraction(a, row[c]) for a in row) for row, c in zip(rows, pivots))
+    return key, _perp(ambient_rank, rows, pivots)
 
 
 def invert_rational(A_rows):
     """Inverse of a square matrix over Fraction, or None if singular."""
     n = len(A_rows)
-    aug = [list(A_rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows, pivots = _rref(aug)
+    rows, pivots = _rref([list(A_rows[i]) + [int(i == j) for j in range(n)] for i in range(n)])
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in rows]
+    return [[Fraction(a, row[i]) for a in row[n:]] for i, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +541,7 @@ def _min_norm_rep(x0: Vec, tau_basis) -> Vec:
     r = len(tau_basis)
     if r == 0:
         return x0
-    gram = [[Fraction(dot(a, b)) for b in tau_basis] for a in tau_basis]
+    gram = [[dot(a, b) for b in tau_basis] for a in tau_basis]
     ginv = invert_rational(gram)
     target = _norm_sq(x0)
     bounds = []

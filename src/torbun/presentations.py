@@ -10,7 +10,6 @@ forward to the base turns ring classes into Minkowski weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import ConeNotInFan, OracleRequiresSmoothComplete, check_invariant
@@ -95,8 +94,7 @@ def _require_oracle_fan(fan: Fan):
 def _dual_character(fan: Fan, sigma_star: Cone, ray: Vec) -> Vec:
     """The character pairing to 1 with `ray` and to 0 with the other rays of
     the smooth maximal cone sigma_star."""
-    mat = [[Fraction(c) for c in r] for r in sigma_star.rays]
-    inv = invert_rational(mat)
+    inv = invert_rational(sigma_star.rays)
     j = sigma_star.rays.index(ray)
     col = [inv[i][j] for i in range(len(inv))]
     check_invariant(all(c.denominator == 1 for c in col), "dual character of a smooth cone is not integral")

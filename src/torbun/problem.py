@@ -62,14 +62,15 @@ def _parse_int(tok: str, text: str) -> int:
     return int(tok)
 
 
-def parse_expression(text: str, atom, constant, coefficients):
+def parse_expression(text: str, atom, constant, coefficients, check_power=None):
     """Evaluate an expression string in a commutative ring.
 
     `atom(name)` resolves generator names, `constant(i)` embeds integers and
     `coefficients(value)` lists a ring value's integer coefficients.  Every
     sum, product and step of a power is refused once a coefficient reaches
     10**MAX_DIGITS in absolute value, so a huge power of a constant stops
-    after a few squarings instead of exhausting memory.
+    after a few squarings instead of exhausting memory.  `check_power(base,
+    k)`, if given, runs before base^k is expanded and may refuse it.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -119,7 +120,10 @@ def parse_expression(text: str, atom, constant, coefficients):
             exp = take()
             if not exp.isdigit():
                 raise ProblemError(f"exponent must be a nonnegative integer in {text!r}")
-            return power(base, _parse_int(exp, text), constant(1), checked)
+            k = _parse_int(exp, text)
+            if check_power is not None:
+                check_power(base, k)
+            return power(base, k, constant(1), checked)
         return base
 
     def parse_atom():
@@ -152,7 +156,11 @@ def parse_class_expression(text: str, algebra: GradedAlgebra):
     return parse_expression(text, atom, lambda c: algebra.one() * c, lambda el: el.coeffs.values())
 
 
-def parse_polynomial_expression(text: str, num_vars: int) -> Polynomial:
+def parse_polynomial_expression(text: str, num_vars: int, max_degree: int) -> Polynomial:
+    """Parse a polynomial in x1..x<num_vars>.  A power of a non-constant
+    polynomial whose degree would exceed max_degree, the degree of the piece
+    it belongs to, is refused before it is expanded."""
+
     def atom(name):
         if not re.fullmatch(r"x(\d+)", name):
             raise ProblemError(f"polynomial variables are x1..x{num_vars}, got {name!r}")
@@ -161,7 +169,17 @@ def parse_polynomial_expression(text: str, num_vars: int) -> Polynomial:
             raise ProblemError(f"variable {name!r} out of range 1..{num_vars}")
         return Polynomial.variable(num_vars, i - 1)
 
-    return parse_expression(text, atom, lambda c: Polynomial.constant(num_vars, c), lambda p: p.terms.values())
+    def check_power(base, k):
+        d = base.degree()
+        if d and k * d > max_degree:
+            raise ProblemError(
+                f"a power in {text[:40]!r} has degree {k * d}, above the piece degree {max_degree}; "
+                "write a power of a non-constant polynomial only up to that degree"
+            )
+
+    return parse_expression(
+        text, atom, lambda c: Polynomial.constant(num_vars, c), lambda p: p.terms.values(), check_power
+    )
 
 
 def parse_divisor_monomial(text: str, num_rays: int, max_degree: int):
@@ -290,7 +308,7 @@ class Problem:
         pieces = {}
         for key, expr in pieces_raw.items():
             cone = cone_from_key_string(self.fan, key)
-            pieces[cone] = parse_polynomial_expression(expr, self.lattice_rank)
+            pieces[cone] = parse_polynomial_expression(expr, self.lattice_rank, degree)
         try:
             return PiecewisePolynomial(self.fan, degree, pieces)
         except ValueError as exc:

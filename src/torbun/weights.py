@@ -23,7 +23,7 @@ from .fans import (
     is_generic_diagonal,
     sigma_v_set,
 )
-from .lattice import Sublattice, Vec, dot, lattice_index, normal_generator, perp_basis, solve_rational
+from .lattice import Sublattice, Vec, dot, lattice_index, normal_generator, perp_basis, solve_scaled
 
 
 class MinkowskiWeight:
@@ -194,7 +194,9 @@ def _pairs_at(fan: Fan, tau: Cone, v: Vec):
     has one, v lies in S_1 + S_2, which is then Q^n since v is on no wall;
     so S_1 and S_2 meet in T, x1 is unique modulo T, and the pair meets iff
     <u, x_i> >= 0 for the facet normals u of sigma_i that vanish on tau.
-    The index is finite because S_1 + S_2 = Q^n.
+    The solve returns d * x1 in integers, d > 0, so the test is on
+    d * x1 and d * x2 = d * x1 - d * v.  The index is finite because
+    S_1 + S_2 = Q^n.
     """
     n = fan.ambient_rank
     containing = fan.cones_containing(tau)
@@ -207,10 +209,11 @@ def _pairs_at(fan: Fan, tau: Cone, v: Vec):
             # x1 in S_1 and x1 - v in S_2
             rows = list(s1.span_normals) + list(s2.span_normals)
             rhs = [0] * len(s1.span_normals) + [dot(w, v) for w in s2.span_normals]
-            x1 = solve_rational(rows, rhs) if rows else [0] * n
-            if x1 is None:
+            solution = solve_scaled(rows, rhs) if rows else ([0] * n, 1)
+            if solution is None:
                 continue
-            x2 = [a - b for a, b in zip(x1, v)]
+            x1, d = solution
+            x2 = [a - d * b for a, b in zip(x1, v)]
             meets = all(dot(u, x1) >= 0 for u in facing[s1]) and all(dot(u, x2) >= 0 for u in facing[s2])
             if not meets:
                 continue

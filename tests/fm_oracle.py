@@ -1,32 +1,33 @@
-"""Exact rational polyhedra with Fourier-Motzkin elimination.
+"""Fourier-Motzkin elimination: the test oracle for fan validation,
+genericity and displacement pairs.
 
 A polyhedron is stored as a system of inequalities sum(a_i x_i) >= b
 (strict rows use > and only arise internally).  Emptiness and dimension
-are decided exactly over Fraction.
+are decided exactly, on rows scaled to coprime integers.  torbun decides
+these questions by lattice algebra; the tests compare its answers with the
+ones here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
-from .lattice import rational_rank
+from torbun.lattice import dot, rational_rank
 
 
 def _normalize_row(coeffs, rhs, strict):
     """Scale by a positive rational so entries are coprime integers."""
-    denoms = [c.denominator for c in coeffs] + [rhs.denominator]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs] + [int(rhs * lcm)]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
+    entries = [*coeffs, rhs]
+    if not all(type(a) is int for a in entries):
+        entries = [Fraction(a) for a in entries]
+        d = lcm(*(a.denominator for a in entries))
+        entries = [a.numerator * (d // a.denominator) for a in entries]
+    g = gcd(*entries)
     if g > 1:
-        ints = [a // g for a in ints]
-    return (tuple(Fraction(a) for a in ints[:-1]), Fraction(ints[-1]), strict)
+        entries = [a // g for a in entries]
+    return (tuple(entries[:-1]), entries[-1], strict)
 
 
 def _eliminate(rows, var):
@@ -100,3 +101,47 @@ class Polyhedron:
     @property
     def is_single_point(self) -> bool:
         return self.dim == 0
+
+
+# ---------------------------------------------------------------------------
+# cones and fans
+
+
+def _cone_pair_polyhedron(c1, c2, shift=None) -> Polyhedron:
+    n = c1.ambient_rank
+    shift = shift or (0,) * n
+    ineqs = [(u, 0) for u in c1.facet_normals]
+    eqs = [(w, 0) for w in c1.span_normals]
+    ineqs += [(u, dot(u, shift)) for u in c2.facet_normals]
+    eqs += [(w, dot(w, shift)) for w in c2.span_normals]
+    return Polyhedron(n, ineqs, eqs)
+
+
+def cone_shift_intersect(sigma1, sigma2, v) -> Polyhedron:
+    """The polyhedron sigma1 intersect (sigma2 + v), by Fourier-Motzkin."""
+    if sigma1.ambient_rank != sigma2.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    return _cone_pair_polyhedron(sigma1, sigma2, tuple(v))
+
+
+def single_point_pairs(fan, v):
+    """Ordered cone pairs whose shifted intersection is a single point."""
+    v = tuple(v)
+    return [(s1, s2) for s1 in fan.cones for s2 in fan.cones if cone_shift_intersect(s1, s2, v).dim == 0]
+
+
+def _contained_in_cone(c1, c2, target) -> bool:
+    """Exact check that c1 intersect c2 is contained in target."""
+    base = _cone_pair_polyhedron(c1, c2)
+    n = c1.ambient_rank
+    checks = []
+    for u in target.facet_normals:
+        checks.append([(tuple(-a for a in u), 1)])
+    for w in target.span_normals:
+        checks.append([(w, 1)])
+        checks.append([(tuple(-a for a in w), 1)])
+    for extra in checks:
+        ineqs = [(c, b) for (c, b, _s) in base.rows] + extra
+        if not Polyhedron(n, ineqs).is_empty:
+            return False
+    return True

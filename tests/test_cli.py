@@ -411,6 +411,40 @@ def test_oversized_numbers_exit_2(tmp_path, section, text):
     assert "Traceback" not in done.stderr and "int_max_str_digits" not in done.stderr
 
 
+@pytest.mark.parametrize("text", ["(x1+x2)^100000", "(x1 - x2^2)^2", "x1*(x1+x2)^3"], ids=["huge", "base-degree", "factor"])
+def test_piece_power_above_degree_exit_2(tmp_path, text):
+    # the pieces of f1_piecewise.json have degree 2; a power of a non-constant
+    # polynomial above that is refused before it is expanded
+    data = json.loads(open(F1_PIECEWISE).read())
+    data["piecewise"]["pieces"]["[1,2]"] = text
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(torbun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    done = subprocess.run(
+        [sys.executable, "-m", "torbun.cli", "pp-to-mw", str(path)],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "above the piece degree 2" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_piece_powers_within_the_degree(tmp_path, capsys):
+    # powers up to the piece degree, and powers of constants, still parse
+    data = json.loads(open(F1_PIECEWISE).read())
+    data["piecewise"]["pieces"]["[1,2]"] = "(x1+x2)^2 - 2*x1*x2 - x2^2 + 0*(x1+x2)^1 * x1 + (1 - 1)^1000000"
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    outputs = []
+    for source in (str(path), F1_PIECEWISE):
+        assert main(["pp-to-mw", source]) == 0
+        outputs.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("outputs.")])
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
 def test_constant_powers_within_the_limit(tmp_path, capsys):
     # powers of 0 and +-1 are never too large; 10^999 has 1000 digits
     data = json.loads(open(F1_WEIGHTS).read())

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 import torbun as tb
-from torbun.fans import _contained_in_cone
 from torbun.problem import parse_problem
 
 from conftest import FIXTURES
+from fm_oracle import _contained_in_cone, cone_shift_intersect, single_point_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +198,12 @@ def _valid_on_all_pairs(fan, memo):
 
 
 RAY_POOLS = {
+    1: [(1,), (-1,)],
     2: [r for r in itertools.product(range(-2, 3), repeat=2) if any(r) and tb.primitive(r) == r],
     3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1),
         (1, 1, 1), (1, 1, 0), (-1, -1, -1), (0, 1, -1)],
+    4: [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0),
+        (0, 0, 0, -1), (1, 1, 1, 1), (-1, -1, -1, -1), (1, 1, 0, 0), (0, 1, -1, 0)],
 }
 
 
@@ -210,7 +213,7 @@ def test_fan_validation_matches_all_pairs_oracle():
     rng = random.Random(3)
     memo = {}
     outcomes = Counter()
-    for rank, count in ((2, 150), (3, 60)):
+    for rank, count in ((2, 150), (3, 60), (4, 40)):
         for _ in range(count):
             rays = rng.sample(RAY_POOLS[rank], rng.randint(rank + 1, rank + 2))
             cones = [rng.sample(range(len(rays)), rng.randint(2, rank)) for _ in range(3)]
@@ -229,6 +232,43 @@ def test_fan_validation_matches_all_pairs_oracle():
             outcomes[rank, want] += 1
     assert outcomes[2, False] + outcomes[3, False] >= 50, outcomes
     assert min(outcomes.values()) >= 5, outcomes
+
+
+def random_cone_pairs(rng, rank, count):
+    """Seeded pairs of cones from RAY_POOLS, the second sharing some rays
+    with the first, so that they have common faces beyond 0."""
+    pool = RAY_POOLS[rank]
+    pairs = []
+    while len(pairs) < count:
+        first = rng.sample(pool, rng.randint(1, min(len(pool), rank + 1)))
+        second = rng.sample(first, rng.randint(0, len(first))) + rng.sample(pool, rng.randint(0, 2))
+        try:
+            pairs.append((tb.cone_from_rays(rank, first), tb.cone_from_rays(rank, second)))
+        except tb.NotStronglyConvex:
+            continue
+    return pairs
+
+
+def test_meet_in_face_matches_fourier_motzkin():
+    # validation decides whether two cones meet in a common face modulo that
+    # face; Fourier-Motzkin decides it in the ambient space.  Every common
+    # face of seeded pairs in ranks 1-4, and of all pairs of faces of the
+    # cube fan (non-simplicial, lower-dimensional)
+    rng = random.Random(8)
+    pairs = [p for rank, count in ((1, 6), (2, 60), (3, 60), (4, 40)) for p in random_cone_pairs(rng, rank, count)]
+    cube = cube_fan(1)
+    pairs += [(c1, c2) for c1 in cube.cones for c2 in cube.cones if c1.dim >= 2 and c2.dim >= 2]
+    verdicts = Counter()
+    for c1, c2 in pairs:
+        common = set(tb.faces_of(c1)) & set(tb.faces_of(c2))
+        for tau in common:
+            got = tb.fans._meet_in_face(c1, c2, tau)
+            assert got == _contained_in_cone(c1, c2, tau), (c1, c2, tau)
+            verdicts[c1.ambient_rank, c1.is_simplicial and c2.is_simplicial, got] += 1
+    for rank in (2, 3, 4):
+        assert verdicts[rank, True, True] and verdicts[rank, True, False], verdicts
+    assert verdicts[3, False, True] and verdicts[3, False, False], verdicts
+    assert verdicts[1, True, False], verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +307,19 @@ def test_star_fan_requires_membership(f1_fan):
 
 def test_cone_shift_intersect_examples(f1_fan):
     z = f1_fan.zero_cone()
-    p = tb.cone_shift_intersect(z, z, (0, 0))
+    p = cone_shift_intersect(z, z, (0, 0))
     assert p.is_single_point
     s12 = f1_fan.cone_by_ray_indices([0, 1])
     s23 = f1_fan.cone_by_ray_indices([1, 2])
     s34 = f1_fan.cone_by_ray_indices([2, 3])
-    assert not tb.cone_shift_intersect(s12, s23, (2, 1)).is_empty
-    assert tb.cone_shift_intersect(s34, s12, (2, 1)).is_empty
+    assert not cone_shift_intersect(s12, s23, (2, 1)).is_empty
+    assert cone_shift_intersect(s34, s12, (2, 1)).is_empty
 
 
 def test_zero_shift_contains_origin(f1_fan):
     for s1 in f1_fan.cones:
         for s2 in f1_fan.cones:
-            assert not tb.cone_shift_intersect(s1, s2, (0, 0)).is_empty
+            assert not cone_shift_intersect(s1, s2, (0, 0)).is_empty
 
 
 def test_is_generic_diagonal_examples(f1_fan):
@@ -311,7 +351,7 @@ def fm_is_generic_diagonal(fan, v):
     pairs are computed, which is several times faster."""
     n = fan.ambient_rank
     return all(
-        tb.cone_shift_intersect(s1, s2, v).dim != 0
+        cone_shift_intersect(s1, s2, v).dim != 0
         for s1 in fan.cones
         for s2 in fan.cones
         if s1.dim + s2.dim != n
@@ -327,7 +367,7 @@ def fm_displacement_pairs(fan, tau, v):
         for s1 in containing
         for s2 in containing
         if fan.codim(s1) + fan.codim(s2) == fan.codim(tau)
-        and not tb.cone_shift_intersect(s1, s2, v).is_empty
+        and not cone_shift_intersect(s1, s2, v).is_empty
     ]
 
 
@@ -428,7 +468,7 @@ def test_sigma_v_matches_single_point_pairs(f1_fan):
         second = frozenset(r[2:] for r in cone.rays if any(r[2:]))
         got.add((first, second))
     expected = set()
-    for s1, s2 in tb.single_point_pairs(f1_fan, v):
+    for s1, s2 in single_point_pairs(f1_fan, v):
         expected.add((frozenset(s1.rays), frozenset(s2.rays)))
     assert got == expected
     assert res.generic

@@ -1,5 +1,6 @@
 """Integer lattice linear algebra, checked against independent oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -308,3 +309,109 @@ def test_snf_postcondition_is_an_invariant_violation(monkeypatch):
     with pytest.raises(tb.InvariantViolation):
         smith_normal_form(((1, 0), (0, 2)))
     tb.lattice._snf_cached.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination against Fraction Gaussian elimination
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form over Fraction: the elimination torbun used
+    before it eliminated on integer rows.  Returns (rows, pivot_cols)."""
+    rows = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [a / pv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def fraction_span(n, generators):
+    """(key, normals) of a span, computed from fraction_rref."""
+    rows, pivots = fraction_rref(list(generators))
+    normals = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        m = [Fraction(0)] * n
+        m[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            m[c] = -rows[r][f]
+        scale = 1
+        for x in m:
+            scale = scale * x.denominator // math.gcd(scale, x.denominator)
+        normals.append(tb.primitive(tuple(int(x * scale) for x in m)))
+    return tuple(tuple(row) for row in rows[: len(pivots)]), tuple(normals)
+
+
+def random_matrix(rng, m, n, fractions):
+    """An m x n matrix of small entries; its rank is made deficient half the
+    time by replacing a row with a combination of two others."""
+    if fractions:
+        entry = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    else:
+        entry = lambda: rng.choice([0, 0, 1, -1, 2, -3, 5, 12])
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m >= 3 and rng.random() < 0.5:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[rng.randrange(m)] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if m and rng.random() < 0.2:
+        rows[rng.randrange(m)] = [0] * n
+    return rows
+
+
+def test_fraction_free_rref_matches_fraction_rref():
+    rng = random.Random(17)
+    shapes = [(0, 0), (1, 0), (0, 3)] + [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(400)]
+    ranks = set()
+    for i, (m, n) in enumerate(shapes):
+        rows = random_matrix(rng, m, n, fractions=i % 3 == 0) if m and n else [[]] * m
+        int_rows, pivots = tb.lattice._rref(rows)
+        want_rows, want_pivots = fraction_rref(rows)
+        assert pivots == want_pivots, rows
+        assert [[Fraction(a, row[c]) for a in row] for row, c in zip(int_rows, pivots)] == want_rows[: len(pivots)]
+        assert all(not any(row) for row in want_rows[len(pivots):])
+        assert all(math.gcd(*row) == 1 and row[c] > 0 for row, c in zip(int_rows, pivots))
+        assert tb.lattice.rational_rank(rows) == len(want_pivots)
+        ranks.add((len(pivots) < min(m, n), n > 0))
+        if n:
+            assert tb.lattice.rational_span(n, rows) == fraction_span(n, rows)
+            assert tb.lattice.rational_kernel(n, rows) == fraction_span(n, rows)[1]
+    assert ranks == {(False, True), (True, True), (False, False)}
+
+
+def test_fraction_free_solve_and_inverse_match():
+    rng = random.Random(19)
+    solved = inverted = 0
+    for i in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = random_matrix(rng, m, n, fractions=i % 2 == 0)
+        b = [rng.randint(-5, 5) for _ in range(m)]
+        rows, pivots = fraction_rref([row + [bi] for row, bi in zip(A, b)])
+        want = None
+        if n not in pivots:
+            want = [Fraction(0)] * n
+            for r, c in enumerate(pivots):
+                want[c] = rows[r][n]
+            solved += 1
+        assert solve_rational(A, b) == want
+        square = [row[:m] + [0] * (m - len(row)) for row in A]
+        rows, pivots = fraction_rref([row + [int(i == j) for j in range(m)] for i, row in enumerate(square)])
+        want = [row[m:] for row in rows] if pivots == list(range(m)) else None
+        inverted += want is not None
+        assert tb.lattice.invert_rational(square) == want
+    assert solved > 50 and inverted > 50

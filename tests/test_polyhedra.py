@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from torbun.polyhedra import Polyhedron
+from fm_oracle import Polyhedron
 
 
 def test_single_point():
