@@ -164,16 +164,14 @@ def _parse_v(problem: Problem, text: str) -> tuple:
 
 def _pick_displacement(problem: Problem, args, rng) -> tuple:
     if args.v:
-        v = _parse_v(problem, args.v)
-        if not is_generic_diagonal(problem.fan, v):
-            raise NonGenericVector(f"supplied vector {list(v)} failed genericity certification")
-        return v, 0
-    if problem.displacement is not None:
-        v = problem.displacement
-        if not is_generic_diagonal(problem.fan, v):
-            raise NonGenericVector(f"file displacement {list(v)} failed genericity certification")
-        return v, 0
-    return find_generic_vector(problem.fan, rng)
+        v, source = _parse_v(problem, args.v), "supplied vector"
+    elif problem.displacement is not None:
+        v, source = problem.displacement, "file displacement"
+    else:
+        return find_generic_vector(problem.fan, rng)
+    if not is_generic_diagonal(problem.fan, v):
+        raise NonGenericVector(f"{source} {list(v)} failed genericity certification")
+    return v, 0
 
 
 def cmd_check_fan(problem: Problem, args, doc: dict, rng) -> int:

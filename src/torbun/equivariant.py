@@ -19,14 +19,13 @@ from .errors import FanNotComplete, ResidueNotPolynomial, check_invariant
 from .fans import (
     Cone,
     Fan,
-    cone_sublattice,
     is_complete,
     is_face,
     multiplicity,
     star_image_cone,
     triangulate,
 )
-from .lattice import dot, invert_rational, perp_basis, quotient_map
+from .lattice import dot, invert_rational, quotient_map
 from .polynomials import LinearFraction, Polynomial
 from .weights import MinkowskiWeight, _assert_balanced
 
@@ -79,7 +78,7 @@ def check_pp(f: PiecewisePolynomial):
         tau = fan.common_face(s1, s2)
         if tau.dim == 0:
             continue
-        basis = cone_sublattice(tau).basis
+        basis = tau.sublattice.basis
         params = [Polynomial.linear_form([b[i] for b in basis]) for i in range(fan.ambient_rank)]
         diff = (f.pieces[s1] - f.pieces[s2]).compose(params)
         if not diff.is_zero():
@@ -97,11 +96,11 @@ def _star_multiplicity_data(sigma: Cone, tau: Cone):
     sigma in the quotient by the span of tau; the dual forms are rational
     characters in the ambient coordinates, each vanishing on tau.
     """
-    q = quotient_map(cone_sublattice(tau))
+    q = quotient_map(tau.sublattice)
     image = star_image_cone(q, sigma)
     if image.dim != q.quotient_rank:
         raise ValueError("expected a full-dimensional image cone in the star")
-    mtau = perp_basis(cone_sublattice(tau))
+    mtau = tau.span_normals
     out = []
     for piece in triangulate(image):
         lifts = [q.lift(w) for w in piece.rays]

@@ -6,7 +6,9 @@ declared ambient-rank cap of 4.  A fan is closed under faces; its face lattice
 is built once, and validation checks that pairs of maximal cones meet in
 common faces, by the same brute-force enumeration modulo the common face.
 Genericity of displacement vectors is decided against walls computed once
-per fan.  All of it is exact integer and rational linear algebra.
+per fan.  What is derived from a cone is kept on the Cone, and what is
+derived from a fan on the Fan; the one module-level memo, of cones by their
+rays, is bounded.  All of it is exact integer and rational linear algebra.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     RankCapExceeded,
 )
 from .lattice import (
+    MEMO_SIZE,
     Sublattice,
     Vec,
     dot,
@@ -48,17 +51,25 @@ GENERIC_SEARCH_ATTEMPTS = 1000
 
 
 class Cone:
-    """A strongly convex rational polyhedral cone."""
+    """A strongly convex rational polyhedral cone.
 
-    __slots__ = ("ambient_rank", "rays", "dim", "facet_normals", "span_normals", "_key")
+    Data derived from the cone is computed once, at construction, and lives
+    on it: the facet normals, `sublattice`, the saturated sublattice spanned
+    by the extreme rays taken in sorted order (so equal cones have equal
+    bases), its rank `dim`, and `span_normals`, the perp_basis of that
+    sublattice.
+    """
 
-    def __init__(self, ambient_rank, rays, dim, facet_normals, span_normals):
+    __slots__ = ("ambient_rank", "rays", "dim", "facet_normals", "sublattice", "span_normals", "_key")
+
+    def __init__(self, ambient_rank, rays, facet_normals):
         self.ambient_rank = ambient_rank
         self.rays = tuple(rays)
-        self.dim = dim
         self.facet_normals = tuple(facet_normals)
-        self.span_normals = tuple(span_normals)
         self._key = (ambient_rank, tuple(sorted(self.rays)))
+        self.sublattice = saturated_span(ambient_rank, self._key[1])
+        self.dim = self.sublattice.rank
+        self.span_normals = tuple(perp_basis(self.sublattice))
 
     def __eq__(self, other):
         return isinstance(other, Cone) and self._key == other._key
@@ -109,12 +120,10 @@ def cone_from_rays(ambient_rank: int, rays) -> Cone:
     return _cone_from_primitive_rays(ambient_rank, tuple(prims))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _cone_from_primitive_rays(ambient_rank: int, prims: tuple) -> Cone:
-    span = saturated_span(ambient_rank, prims)
-    d = span.rank
-    span_normals = tuple(perp_basis(span))
-    facets = _facet_normals(ambient_rank, prims, d, span_normals)
+    span_normals = rational_kernel(ambient_rank, prims)
+    facets = _facet_normals(ambient_rank, prims, ambient_rank - len(span_normals))
     all_normals = list(facets.values()) + list(span_normals)
     if rational_rank(all_normals) != ambient_rank:
         if ambient_rank > 0:
@@ -124,10 +133,10 @@ def _cone_from_primitive_rays(ambient_rank: int, prims: tuple) -> Cone:
         vanishing = [u for u in all_normals if dot(u, r) == 0]
         if rational_rank(vanishing) == ambient_rank - 1:
             extreme.append(r)
-    return Cone(ambient_rank, extreme, d, tuple(facets.values()), span_normals)
+    return Cone(ambient_rank, extreme, facets.values())
 
 
-def _facet_normals(ambient_rank, prims, d, span_normals):
+def _facet_normals(ambient_rank, prims, d):
     """Facet normals keyed by the frozenset of rays they annihilate."""
     facets = {}
     if d == 0:
@@ -158,13 +167,11 @@ def _facet_normals(ambient_rank, prims, d, span_normals):
     return facets
 
 
-@lru_cache(maxsize=None)
 def cone_sublattice(cone: Cone) -> Sublattice:
     """The saturated sublattice generated by the cone's lattice points."""
-    return saturated_span(cone.ambient_rank, cone.rays)
+    return cone.sublattice
 
 
-@lru_cache(maxsize=None)
 def is_face(tau: Cone, sigma: Cone) -> bool:
     """True iff tau is cut out of sigma by a supporting normal (tau=sigma ok)."""
     if tau.ambient_rank != sigma.ambient_rank:
@@ -204,12 +211,13 @@ class Fan:
     """A fan: cones closed under faces, intersecting in common faces; the
     face lattice is built once, and validation checks maximal pairs only.
 
-    Data for displacement products lives on the fan and dies with it: the
-    cones' spans and the diagonal's genericity walls (`cone_spans`,
-    `diagonal_walls`, built on first use) and `displacement_table`, the
-    displacement pairs that `weights.displacement_pairs` has found for the
-    last vector used, per cone.  Smoothness and completeness are decided on
-    first use too, once per fan.
+    Data derived from the fan lives on it and dies with it, each piece
+    built on first use: the cones' spans and the diagonal's genericity walls
+    (`cone_spans`, `diagonal_walls`); `displacement_table`, the displacement
+    pairs that `weights.displacement_pairs` has found for the last vector
+    used, per cone; and `relation_normals(tau)`, the normal vectors that the
+    relations at tau pair characters with.  Smoothness and completeness are
+    decided once per fan too.
     """
 
     def __init__(self, ambient_rank, cones, rays=None, validate=True):
@@ -242,6 +250,7 @@ class Fan:
         self.maximal_cones = [c for c in self.cones if self._containing[c] == [c]]
         self.face_relations = frozenset((t, s) for s in self.cones for t in faces[s])
         self.displacement_table = None
+        self._relation_normals = {}
         if validate:
             self._validate()
 
@@ -334,6 +343,26 @@ class Fan:
     def is_simplicial(self) -> bool:
         return all(c.is_simplicial for c in self.cones)
 
+    def relation_normals(self, tau: Cone) -> dict:
+        """Each cone sigma of the fan one dimension up from tau, in fan
+        order, mapped to one lift to N of n_sigma/tau, the generator of
+        N_sigma/N_tau on sigma's side.
+
+        Only <m, n_sigma/tau> for m in perp(tau) enters the relations, and
+        it is the same for every lift.  A ray r of sigma not in tau maps to
+        k times the generator in N/N_tau, k the gcd of its image, so the
+        table lifts image/k.  Built on first use for each tau.
+        """
+        if tau not in self._relation_normals:
+            q = quotient_map(tau.sublattice)
+            table = {}
+            for sigma in self.cones_containing(tau):
+                if sigma.dim == tau.dim + 1:
+                    r = next(r for r in sigma.rays if r not in tau.rays)
+                    table[sigma] = q.lift(primitive(q.project(r)))
+            self._relation_normals[tau] = table
+        return self._relation_normals[tau]
+
     @cached_property
     def cone_spans(self) -> dict:
         """Each cone's linear span, as the key of lattice.rational_span."""
@@ -407,7 +436,7 @@ def star_fan(tau: Cone, fan: Fan):
     saturated span of tau.
     """
     containing = fan.cones_containing(tau)
-    q = quotient_map(cone_sublattice(tau))
+    q = quotient_map(tau.sublattice)
     cones = [star_image_cone(q, sigma) for sigma in containing]
     return Fan(q.quotient_rank, cones, validate=False), q
 

@@ -19,6 +19,10 @@ from .errors import NotCodimOne, NotSaturated, ZeroVector, check_invariant
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
+# entries kept by each module-level memo (Smith normal forms here, cones in
+# fans); bounded so a long-running process does not grow with every new fan
+MEMO_SIZE = 1024
+
 
 # ---------------------------------------------------------------------------
 # basic vector / matrix helpers
@@ -214,7 +218,7 @@ def _snf_ext(A) -> SNF:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _snf_cached(A: Mat) -> SNF:
     result = _snf_ext(A)
     # postconditions are cheap at desk scale, so always check them
@@ -560,13 +564,13 @@ def _min_norm_rep(x0: Vec, tau_basis) -> Vec:
     return best
 
 
-@lru_cache(maxsize=None)
 def normal_generator(tau: Sublattice, sigma: Sublattice, witness: Vec) -> Vec:
     """A lattice point of sigma generating the rank-one quotient sigma/tau.
 
     The sign is fixed so that the image pairs positively with the image of
     `witness` (a point of the relevant cone); the representative modulo tau
-    is the minimal-norm one, ties broken lexicographically.
+    is the minimal-norm one, ties broken lexicographically.  Relation
+    coefficients do not need this canonical form (see Fan.relation_normals).
     """
     if tau.ambient_rank != sigma.ambient_rank:
         raise ValueError("ambient rank mismatch")

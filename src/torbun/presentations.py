@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import ConeNotInFan, OracleRequiresSmoothComplete, check_invariant
-from .fans import Cone, Fan, cone_sublattice, is_complete
-from .lattice import Vec, dot, invert_rational, perp_basis
+from .fans import Cone, Fan, is_complete
+from .lattice import Vec, dot, invert_rational
 from .weights import MinkowskiWeight, Relation, _assert_balanced, relation_at
 
 
@@ -28,7 +28,7 @@ def _presentation(fan: Fan, mixing: MixingMap, equivariant: bool) -> Presentatio
     generators = [(c, mixing.algebra.top_degree + fan.codim(c)) for c in fan.cones]
     relations = []
     for tau in fan.cones:
-        for m in perp_basis(cone_sublattice(tau)):
+        for m in tau.span_normals:
             relation = relation_at(fan, mixing, tau, m)
             if equivariant:
                 relation.equivariant_part = m

@@ -62,15 +62,16 @@ def _parse_int(tok: str, text: str) -> int:
     return int(tok)
 
 
-def parse_expression(text: str, atom, constant, coefficients, check_power=None):
+def parse_expression(text: str, atom, constant, coefficients, max_degree=None):
     """Evaluate an expression string in a commutative ring.
 
     `atom(name)` resolves generator names, `constant(i)` embeds integers and
     `coefficients(value)` lists a ring value's integer coefficients.  Every
     sum, product and step of a power is refused once a coefficient reaches
-    10**MAX_DIGITS in absolute value, so a huge power of a constant stops
-    after a few squarings instead of exhausting memory.  `check_power(base,
-    k)`, if given, runs before base^k is expanded and may refuse it.
+    10**MAX_DIGITS in absolute value, or, when `max_degree` is given, once
+    the value's `degree()` exceeds it.  So a huge power of a constant stops
+    after a few squarings, and a product or power of polynomials at the
+    first step above max_degree, instead of exhausting memory.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -79,6 +80,11 @@ def parse_expression(text: str, atom, constant, coefficients, check_power=None):
     def checked(value):
         if any(abs(c) >= limit for c in coefficients(value)):
             raise _too_long(text)
+        if max_degree is not None and (value.degree() or 0) > max_degree:
+            raise ProblemError(
+                f"a product or power in {text[:40]!r} has degree {value.degree()}, above the piece degree "
+                f"{max_degree}; every product and power in a piece must stay within that degree"
+            )
         return value
 
     def peek():
@@ -121,8 +127,6 @@ def parse_expression(text: str, atom, constant, coefficients, check_power=None):
             if not exp.isdigit():
                 raise ProblemError(f"exponent must be a nonnegative integer in {text!r}")
             k = _parse_int(exp, text)
-            if check_power is not None:
-                check_power(base, k)
             return power(base, k, constant(1), checked)
         return base
 
@@ -157,9 +161,9 @@ def parse_class_expression(text: str, algebra: GradedAlgebra):
 
 
 def parse_polynomial_expression(text: str, num_vars: int, max_degree: int) -> Polynomial:
-    """Parse a polynomial in x1..x<num_vars>.  A power of a non-constant
-    polynomial whose degree would exceed max_degree, the degree of the piece
-    it belongs to, is refused before it is expanded."""
+    """Parse a polynomial in x1..x<num_vars>.  A product or power whose
+    degree exceeds max_degree, the degree of the piece it belongs to, is
+    refused as soon as it is formed."""
 
     def atom(name):
         if not re.fullmatch(r"x(\d+)", name):
@@ -169,16 +173,8 @@ def parse_polynomial_expression(text: str, num_vars: int, max_degree: int) -> Po
             raise ProblemError(f"variable {name!r} out of range 1..{num_vars}")
         return Polynomial.variable(num_vars, i - 1)
 
-    def check_power(base, k):
-        d = base.degree()
-        if d and k * d > max_degree:
-            raise ProblemError(
-                f"a power in {text[:40]!r} has degree {k * d}, above the piece degree {max_degree}; "
-                "write a power of a non-constant polynomial only up to that degree"
-            )
-
     return parse_expression(
-        text, atom, lambda c: Polynomial.constant(num_vars, c), lambda p: p.terms.values(), check_power
+        text, atom, lambda c: Polynomial.constant(num_vars, c), lambda p: p.terms.values(), max_degree
     )
 
 

@@ -2,10 +2,12 @@
 
 A weight of codimension k assigns to each cone a class of the base ring,
 homogeneous of cohomological degree k - codim(cone), subject to the
-balancing condition.  Products are computed by displacing the fan by a
-certified generic vector and summing over pairs of cones that still meet;
-whether a pair meets is decided by one rational solve, and the pairs found
-are kept on the fan for the vector.
+balancing condition.  The relation at (tau, m) pairs m in perp(tau) with
+one lift of each normal n_sigma/tau, from the table the fan keeps per face;
+on perp(tau) every lift gives the same coefficient.  Products are computed by
+displacing the fan by a certified generic vector and summing over pairs of
+cones that still meet; whether a pair meets is decided by one rational
+solve, and the pairs found are kept on the fan for the vector.
 """
 
 from __future__ import annotations
@@ -15,15 +17,8 @@ from typing import Optional
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import BalancingError, FanNotComplete, NonGenericVector
-from .fans import (
-    Cone,
-    Fan,
-    cone_sublattice,
-    is_complete,
-    is_generic_diagonal,
-    sigma_v_set,
-)
-from .lattice import Sublattice, Vec, dot, lattice_index, normal_generator, perp_basis, solve_scaled
+from .fans import Cone, Fan, is_complete, is_generic_diagonal, sigma_v_set
+from .lattice import Sublattice, Vec, dot, lattice_index, solve_scaled
 
 
 class MinkowskiWeight:
@@ -100,14 +95,15 @@ class Relation:
 
 def relation_at(fan: Fan, mixing: MixingMap, tau: Cone, m) -> Relation:
     """The relation at (tau, m in perp(tau)): lhs {sigma: <m, n_sigma/tau>}
-    over the cones one dimension up from tau, rhs delta(m)."""
+    over the cones one dimension up from tau, rhs delta(m).
+
+    The normals come from `fan.relation_normals(tau)`.  Raises ValueError
+    when m is not in perp(tau), where the pairing would depend on the lift.
+    """
+    if any(dot(m, r) for r in tau.rays):
+        raise ValueError(f"m={tuple(m)} is not in the perp of {tau}")
     lhs = {}
-    for sigma in fan.cones_containing(tau):
-        if sigma.dim != tau.dim + 1:
-            continue
-        n_st = normal_generator(
-            cone_sublattice(tau), cone_sublattice(sigma), sigma.interior_point()
-        )
+    for sigma, n_st in fan.relation_normals(tau).items():
         c = dot(m, n_st)
         if c != 0:
             lhs[sigma] = c
@@ -129,7 +125,7 @@ def check_balancing(W: MinkowskiWeight) -> BalancingReport:
     _require_complete(W.fan)
     violations = []
     for tau in W.fan.cones:
-        for m in perp_basis(cone_sublattice(tau)):
+        for m in tau.span_normals:
             lhs, rhs = balancing_sides(W, tau, m)
             if lhs != rhs:
                 violations.append((tau, m, lhs, rhs))
@@ -217,7 +213,7 @@ def _pairs_at(fan: Fan, tau: Cone, v: Vec):
             meets = all(dot(u, x1) >= 0 for u in facing[s1]) and all(dot(u, x2) >= 0 for u in facing[s2])
             if not meets:
                 continue
-            idx = lattice_index(n, cone_sublattice(s1).basis + cone_sublattice(s2).basis)
+            idx = lattice_index(n, s1.sublattice.basis + s2.sublattice.basis)
             out.append((s1, s2, idx))
     return out
 
@@ -229,8 +225,6 @@ def mw_product(W1: MinkowskiWeight, W2: MinkowskiWeight, v) -> MinkowskiWeight:
     fan = W1.fan
     _require_complete(fan)
     v = tuple(v)
-    if not is_generic_diagonal(fan, v):
-        raise NonGenericVector(f"displacement vector {v} failed certification")
     algebra = W1.algebra
     values = {}
     for tau in fan.cones:
@@ -249,9 +243,6 @@ def diagonal_class(fan: Fan, tau: Cone, v):
     """Displacement expression for the diagonal class over a cone: ordered
     pairs (sigma1, sigma2, coefficient)."""
     _require_complete(fan)
-    v = tuple(v)
-    if not is_generic_diagonal(fan, v):
-        raise NonGenericVector(f"displacement vector {v} failed certification")
     if tau not in set(fan.cones):
         raise ValueError("tau not in fan")
     return displacement_pairs(fan, tau, v)
@@ -287,5 +278,5 @@ def subbundle_class(fan: Fan, N: Sublattice, v) -> StratumClassSum:
             f"span(cone {fan.cone_key(bad)}) + span(sublattice)"
         )
     # the cones of a generic v are transverse to N, so every index is finite
-    terms = {cone: lattice_index(fan.ambient_rank, cone_sublattice(cone).basis + N.basis) for cone in result.cones}
+    terms = {cone: lattice_index(fan.ambient_rank, cone.sublattice.basis + N.basis) for cone in result.cones}
     return StratumClassSum(fan, terms)

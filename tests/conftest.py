@@ -1,5 +1,6 @@
 """Shared fixtures: the Hirzebruch-surface bundle example and friends."""
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,35 @@ def p1_fan():
 
 def f1_cone(fan, indices):
     return fan.cone_by_ray_indices(indices)
+
+
+def shear(rays, i, j, s):
+    """The rays under the coordinate change x_i += s * x_j."""
+    return [tuple(a + s * r[j] if k == i else a for k, a in enumerate(r)) for r in rays]
+
+
+P1_CUBED_RAYS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+def p1_cubed_fan(rays=P1_CUBED_RAYS):
+    """(P^1)^3, or the same cones on sheared rays."""
+    return tb.fan_from_ray_lists(3, rays, list(itertools.product((0, 1), (2, 3), (4, 5))))
+
+
+def projective_space_rays(n):
+    return [tuple(int(k == i) for k in range(n)) for i in range(n)] + [(-1,) * n]
+
+
+def projective_space_fan(n, rays=None):
+    """P^n on the rays e_1..e_n, -(e_1+...+e_n), or the same cones on sheared rays."""
+    return tb.fan_from_ray_lists(n, rays or projective_space_rays(n), list(itertools.combinations(range(n + 1), n)))
+
+
+def cube_fan(shear=0):
+    """Face fan of the cube [-1,1]^3, under the coordinate change x1 += shear * x2."""
+    corners = list(itertools.product((1, -1), repeat=3))
+    return tb.fan_from_ray_lists(
+        3,
+        [(a + shear * b, b, c) for a, b, c in corners],
+        [[i for i, r in enumerate(corners) if r[k] == sign] for k in range(3) for sign in (1, -1)],
+    )

@@ -432,6 +432,27 @@ def test_piece_power_above_degree_exit_2(tmp_path, text):
     assert "Traceback" not in done.stderr
 
 
+def test_piece_product_above_degree_exit_2(tmp_path):
+    # every factor is within the piece degree 2 and the product is not; it is
+    # refused at the first product above that degree, where expanding all
+    # 200 factors takes about a minute
+    data = json.loads(open(F1_PIECEWISE).read())
+    data["piecewise"]["pieces"]["[1,2]"] = "*".join(["(x1+x2+1)^2"] * 200)
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(torbun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    done = subprocess.run(
+        [sys.executable, "-m", "torbun.cli", "pp-to-mw", str(path)],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "has degree 4, above the piece degree 2" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_piece_powers_within_the_degree(tmp_path, capsys):
     # powers up to the piece degree, and powers of constants, still parse
     data = json.loads(open(F1_PIECEWISE).read())

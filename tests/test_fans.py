@@ -10,7 +10,7 @@ import pytest
 import torbun as tb
 from torbun.problem import parse_problem
 
-from conftest import FIXTURES
+from conftest import FIXTURES, cube_fan, p1_cubed_fan
 from fm_oracle import _contained_in_cone, cone_shift_intersect, single_point_pairs
 
 
@@ -154,21 +154,6 @@ def assert_lattice_matches_is_face_sweeps(fan):
         assert fan.cones_containing(tau) == [s for s in cones if tb.is_face(tau, s)]
     assert fan.face_relations == frozenset(
         (t, s) for t in cones for s in cones if tb.is_face(t, s)
-    )
-
-
-def p1_cubed_fan():
-    axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    return tb.fan_from_ray_lists(3, axes, list(itertools.product((0, 1), (2, 3), (4, 5))))
-
-
-def cube_fan(shear=0):
-    """Face fan of the cube [-1,1]^3, under the coordinate change x1 += shear * x2."""
-    corners = list(itertools.product((1, -1), repeat=3))
-    return tb.fan_from_ray_lists(
-        3,
-        [(a + shear * b, b, c) for a, b, c in corners],
-        [[i for i, r in enumerate(corners) if r[k] == sign] for k in range(3) for sign in (1, -1)],
     )
 
 

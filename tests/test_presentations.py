@@ -1,6 +1,10 @@
 """Homology presentations and the intersection ring oracle."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,39 @@ def test_equivariant_limit_recovers_ordinary(f1_fan, mixing):
         assert r.tau == er.tau and r.m == er.m
         assert r.lhs == er.lhs and r.rhs == er.rhs
         assert er.equivariant_part == er.m and r.equivariant_part is None
+
+
+HISTORY_SCRIPT = """
+import itertools, sys
+import torbun as tb
+rays = [tuple(int(k == i) for k in range(4)) for i in range(4)] + [(-1,) * 4]
+rays = [(r[0] + r[1],) + r[1:] for r in rays]  # P^4 under x1 += x2
+fan = tb.fan_from_ray_lists(4, rays, list(itertools.combinations(range(5), 4)))
+p1 = tb.projective_space_algebra(1, "h")
+h = p1.basis_element("h")
+if sys.argv[1] == "reversed":
+    for c in fan.cones:
+        tb.cone_sublattice(tb.cone_from_rays(4, c.rays[::-1]))
+for r in tb.homology_presentation(fan, tb.MixingMap(p1, [h, p1.zero(), -h, h])).relations:
+    print(fan.cone_key(r.tau), r.m, [(fan.cone_key(s), c) for s, c in r.lhs.items()], r.rhs.render())
+"""
+
+
+def test_presentation_independent_of_earlier_calls():
+    # a cone's sublattice comes from its sorted rays, so asking first for
+    # the sublattices of equal cones with reversed rays changes nothing; a
+    # memo keyed by cone equality returned the first caller's basis
+    src = str(Path(tb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for mode in ("plain", "reversed"):
+        done = subprocess.run(
+            [sys.executable, "-c", HISTORY_SCRIPT, mode], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.splitlines())
+    assert outputs[0] == outputs[1]
+    assert "(2, 3) (0, 1, 0, 0) [((1, 2, 3), 1), ((2, 3, 4), -1)] 0" in outputs[0]
 
 
 def test_point_fan_presentation():

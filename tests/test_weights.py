@@ -1,5 +1,6 @@
 """Minkowski weights: balancing, module action, displacement products."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -9,6 +10,17 @@ from pathlib import Path
 import pytest
 
 import torbun as tb
+from torbun.problem import parse_problem
+
+from conftest import (
+    FIXTURES,
+    P1_CUBED_RAYS,
+    cube_fan,
+    p1_cubed_fan,
+    projective_space_fan,
+    projective_space_rays,
+    shear,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +89,69 @@ def test_balancing_requires_complete_fan(base_algebra, mixing):
     W = tb.MinkowskiWeight(fan, base_algebra, mixing, 0, {})
     with pytest.raises(tb.FanNotComplete):
         tb.check_balancing(W)
+
+
+def relation_fans():
+    """The fixture fans, (P^1)^3 under each of its twelve elementary shears,
+    sheared P^4 and the cube fan (the singular fan is a fixture)."""
+    fans = {path.stem: parse_problem(path.read_text()).fan for path in sorted(FIXTURES.glob("*.json"))}
+    for i, j in itertools.permutations(range(3), 2):
+        for s in (1, -1):
+            fans[f"p1^3 x{i + 1} += {s} x{j + 1}"] = p1_cubed_fan(shear(P1_CUBED_RAYS, i, j, s))
+    fans["p4 x1 += x2"] = projective_space_fan(4, shear(projective_space_rays(4), 0, 1, 1))
+    fans["cube"] = cube_fan()
+    return fans
+
+
+def test_relation_coefficients_match_normal_generator():
+    # the canonical minimal-norm lift of normal_generator is the oracle: on
+    # perp(tau) every lift of n_sigma/tau gives the same coefficient
+    checked = 0
+    for name, fan in relation_fans().items():
+        pt = tb.point_algebra()
+        mix = tb.MixingMap(pt, [pt.zero()] * fan.ambient_rank)
+        for tau in fan.cones:
+            up = [s for s in fan.cones_containing(tau) if s.dim == tau.dim + 1]
+            for m in tau.span_normals:
+                want = {}
+                for sigma in up:
+                    n = tb.normal_generator(tb.cone_sublattice(tau), tb.cone_sublattice(sigma), sigma.interior_point())
+                    if tb.lattice.dot(m, n):
+                        want[sigma] = tb.lattice.dot(m, n)
+                got = tb.weights.relation_at(fan, mix, tau, m).lhs
+                assert list(got.items()) == list(want.items()), (name, fan.cone_key(tau), m)
+                checked += len(up)
+            for r in tau.rays:
+                with pytest.raises(ValueError):
+                    tb.weights.relation_at(fan, mix, tau, r)
+    assert checked > 1000, checked
+
+
+def test_library_paths_skip_the_canonical_lift(monkeypatch):
+    def forbidden(x0, tau_basis):
+        raise AssertionError("the minimal-norm lift search ran")
+
+    monkeypatch.setattr(tb.lattice, "_min_norm_rep", forbidden)
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    p4 = projective_space_fan(4)
+    mix4 = tb.MixingMap(p1, [h, p1.zero(), -h, h])
+    tb.homology_presentation(p4, mix4)
+    W = tb.poincare_dual_mw(p4, mix4, [0, 1])
+    assert tb.check_balancing(W).ok
+    cube = cube_fan()
+    mix3 = tb.MixingMap(p1, [h, p1.zero(), -h])
+    tb.homology_presentation(cube, mix3)
+    # the value <(0,1,-1), ray> + 2: on the cone over the face x_i = s it is
+    # <(0,1,-1) + 2 s e_i, x>
+    pieces = {}
+    for i, s in itertools.product(range(3), (1, -1)):
+        sigma = next(c for c in cube.maximal_cones if all(r[i] == s for r in c.rays))
+        pieces[sigma] = tb.Polynomial.linear_form([(0, 1, -1)[k] + 2 * s * (k == i) for k in range(3)])
+    f = tb.PiecewisePolynomial(cube, 1, pieces)
+    assert tb.check_balancing(tb.pp_to_mw(f, mix3)).ok
+    with pytest.raises(AssertionError, match="lift search"):
+        tb.normal_generator(tb.zero_sublattice(2), tb.Sublattice(2, ((1, 0),)), (1, 0))
 
 
 # ---------------------------------------------------------------------------
