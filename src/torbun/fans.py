@@ -213,9 +213,11 @@ class Fan:
 
     Data derived from the fan lives on it and dies with it, each piece
     built on first use: the cones' spans and the diagonal's genericity walls
-    (`cone_spans`, `diagonal_walls`); `displacement_table`, the displacement
-    pairs that `weights.displacement_pairs` has found for the last vector
-    used, per cone; and `relation_normals(tau)`, the normal vectors that the
+    (`cone_spans`, `diagonal_walls`); `displacement_table`, the last
+    certified displacement vector v with the candidate pairs decided for it
+    so far, (v, {(tau, sigma1, sigma2): index or None}), which products and
+    `weights.displacement_pairs` fill one pair at a time and a new vector
+    replaces; and `relation_normals(tau)`, the normal vectors that the
     relations at tau pair characters with.  Smoothness and completeness are
     decided once per fan too.
     """

@@ -437,18 +437,28 @@ INFINITE = LatticeIndex.INFINITE
 
 
 def lattice_index(ambient_rank: int, generators):
-    """Index of the subgroup generated by `generators` in Z^n (or INFINITE)."""
-    gens = tuple(tuple(v) for v in generators)
-    if ambient_rank == 0:
-        return 1
-    if not gens:
-        return INFINITE
-    r = snf(gens)
-    if r.rank < ambient_rank:
-        return INFINITE
+    """Index of the subgroup generated by `generators` in Z^n (or INFINITE).
+
+    Column by column, extended-gcd row steps (Euclid run on whole rows, so
+    every step is unimodular) leave one row whose entry there is the gcd of
+    the column's remaining entries.  That row is the column's pivot, and the
+    other rows go on with zeros up to that column.  This integer echelon
+    form generates the same subgroup; it has full rank iff every column
+    gets a pivot, and the index is then the product of the pivots' sizes.
+    """
+    rows = [list(v) for v in generators]
     out = 1
-    for d in r.diagonal[:ambient_rank]:
-        out *= d
+    for c in range(ambient_rank):
+        live = [row for row in rows if row[c]]
+        rows = [row for row in rows if not row[c]]
+        while len(live) > 1:
+            p = min(live, key=lambda row: abs(row[c]))
+            live = [p] + [[a - (row[c] // p[c]) * b for a, b in zip(row, p)] for row in live if row is not p]
+            rows += [row for row in live if not row[c]]
+            live = [row for row in live if row[c]]
+        if not live:
+            return INFINITE
+        out *= abs(live[0][c])
     return out
 
 

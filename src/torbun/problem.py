@@ -31,6 +31,10 @@ class ProblemError(TorbunError):
 # result of an expression have at most this many digits
 MAX_DIGITS = 1000
 
+# a base algebra has at most this many basis elements: building one checks
+# associativity on every triple of them, a cost cubic in the basis size
+MAX_BASIS = 64
+
 
 # ---------------------------------------------------------------------------
 # expression grammar: integers, names, + - * ^ and parentheses
@@ -231,6 +235,8 @@ def cone_from_key_string(fan: Fan, key: str) -> Cone:
         indices = json.loads(key)
     except json.JSONDecodeError as exc:
         raise ProblemError(f"bad cone key {key!r}: {exc}") from exc
+    except RecursionError:
+        raise ProblemError(f"bad cone key {key[:40]!r}: nested too deeply") from None
     if not isinstance(indices, list) or not all(type(i) is int for i in indices):
         raise ProblemError(f"cone key must be a list of ray indices, got {key!r}")
     return fan.cone_by_ray_indices(indices)
@@ -299,7 +305,7 @@ class Problem:
             raise ProblemError("file has no piecewise polynomial section")
         degree = self.piecewise_raw.get("degree")
         pieces_raw = self.piecewise_raw.get("pieces")
-        if not isinstance(degree, int) or not isinstance(pieces_raw, dict):
+        if type(degree) is not int or not isinstance(pieces_raw, dict):
             raise ProblemError("piecewise section needs integer 'degree' and object 'pieces'")
         pieces = {}
         for key, expr in pieces_raw.items():
@@ -327,6 +333,33 @@ class Problem:
         return json.dumps(self.canonical_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _count_monomials(degrees, top: int, limit: int) -> int:
+    """The number of monomials of weighted degree <= top in generators of
+    the given degrees, each in 1..top, or some number above limit if that
+    is more.  Every branch ends in at least one monomial, so the work is
+    O(limit * len(degrees)), and the recursion is at most limit deep."""
+    if len(degrees) >= limit:
+        return len(degrees) + 1  # the unit and the generators
+
+    def count(i, left):
+        if i == len(degrees):
+            return 1
+        total = 0
+        for e in range(left // degrees[i] + 1):
+            total += count(i + 1, left - e * degrees[i])
+            if total > limit:
+                break
+        return total
+
+    return count(0, top)
+
+
+def _check_basis_size(size: int):
+    """Refuse a base algebra of more than MAX_BASIS basis elements before it is built."""
+    if size > MAX_BASIS:
+        raise ProblemError(f"base algebra has more than {MAX_BASIS} basis elements, the limit")
+
+
 def _build_algebra(spec) -> GradedAlgebra:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ProblemError("base_algebra must be an object with a 'type'")
@@ -335,27 +368,32 @@ def _build_algebra(spec) -> GradedAlgebra:
         return point_algebra()
     if kind == "projective":
         dim = spec.get("dim")
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise ProblemError("projective base needs an integer 'dim'")
+        _check_basis_size(dim + 1)
         return projective_space_algebra(dim, spec.get("generator", "h"))
     if kind == "free_truncated":
         gens = spec.get("generators")
         top = spec.get("top_degree")
-        if not isinstance(gens, list) or not isinstance(top, int):
+        if not isinstance(gens, list) or type(top) is not int:
             raise ProblemError("free_truncated needs 'generators' and integer 'top_degree'")
         pairs = []
         for item in gens:
-            if not (isinstance(item, list) and len(item) == 2 and isinstance(item[1], int)):
+            if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
                 raise ProblemError("generators are [name, degree] pairs")
             pairs.append((item[0], item[1]))
+        # a generator above top_degree adds no monomial; make_free_truncated
+        # refuses one of degree below 1
+        _check_basis_size(_count_monomials([d for _, d in pairs if 1 <= d <= top], top, MAX_BASIS))
         return make_free_truncated(pairs, top)
     if kind == "explicit":
         names = spec.get("names")
         degrees = spec.get("degrees")
         top = spec.get("top_degree")
         products = spec.get("products", {})
-        if not (isinstance(names, list) and isinstance(degrees, list) and isinstance(top, int)):
+        if not (isinstance(names, list) and isinstance(degrees, list) and type(top) is int):
             raise ProblemError("explicit algebra needs 'names', 'degrees', 'top_degree'")
+        _check_basis_size(len(names))
         index = {n: i for i, n in enumerate(names)}
         # product values are linear combinations of basis names; evaluating a
         # '*' or '^' against the unfinished table would be silently wrong
@@ -384,25 +422,30 @@ def parse_problem(text: str, path: str = "<memory>") -> Problem:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemError(f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ProblemError(f"{path}: JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise ProblemError(f"{path}: top level must be an object")
 
-    def need(key, types, what):
+    def need(key, kind, what):
+        # exact types: JSON true and false are not integers
         if key not in raw:
             raise ProblemError(f"{path}: missing required key {key!r}")
         val = raw[key]
-        if not isinstance(val, types):
+        if type(val) is not kind:
             raise ProblemError(f"{path}: {key!r} must be {what}")
         return val
 
     rank = need("lattice_rank", int, "an integer")
+    if rank < 0:
+        raise ProblemError(f"{path}: 'lattice_rank' must be nonnegative, got {rank}")
     rays = need("rays", list, "a list of integer vectors")
     cones = need("cones", list, "a list of ray-index lists")
     for r in rays:
-        if not (isinstance(r, list) and len(r) == rank and all(isinstance(c, int) for c in r)):
+        if not (isinstance(r, list) and len(r) == rank and all(type(c) is int for c in r)):
             raise ProblemError(f"{path}: ray {r!r} must be a length-{rank} integer vector")
     for c in cones:
-        if not (isinstance(c, list) and all(isinstance(i, int) and 0 <= i < len(rays) for i in c)):
+        if not (isinstance(c, list) and all(type(i) is int and 0 <= i < len(rays) for i in c)):
             raise ProblemError(f"{path}: cone {c!r} must index into the ray list")
     try:
         fan = fan_from_ray_lists(rank, [tuple(r) for r in rays], [tuple(c) for c in cones])
@@ -419,7 +462,7 @@ def parse_problem(text: str, path: str = "<memory>") -> Problem:
         raise ProblemError(f"{path}: mixing matrix needs {rank} rows (one per lattice coordinate)")
     images = []
     for row in mixing_rows:
-        if not (isinstance(row, list) and len(row) == len(degree_one) and all(isinstance(c, int) for c in row)):
+        if not (isinstance(row, list) and len(row) == len(degree_one) and all(type(c) is int for c in row)):
             raise ProblemError(
                 f"{path}: each mixing row must have {len(degree_one)} integer entries "
                 "(the degree-one basis)"
@@ -434,7 +477,7 @@ def parse_problem(text: str, path: str = "<memory>") -> Problem:
         if not isinstance(raw["weights"], list):
             raise ProblemError(f"{path}: 'weights' must be a list")
         for i, w in enumerate(raw["weights"]):
-            if not isinstance(w, dict) or "codim" not in w or not isinstance(w["codim"], int):
+            if not isinstance(w, dict) or "codim" not in w or type(w["codim"]) is not int:
                 raise ProblemError(f"{path}: weight #{i + 1} needs an integer 'codim'")
             values = w.get("values")
             if values is not None and not isinstance(values, dict):
@@ -450,7 +493,7 @@ def parse_problem(text: str, path: str = "<memory>") -> Problem:
         if not isinstance(basis, list):
             raise ProblemError(f"{path}: 'sublattice' must be a list of vectors")
         for v in basis:
-            if not (isinstance(v, list) and len(v) == rank and all(isinstance(c, int) for c in v)):
+            if not (isinstance(v, list) and len(v) == rank and all(type(c) is int for c in v)):
                 raise ProblemError(f"{path}: sublattice vector {v!r} is malformed")
         try:
             sublattice = Sublattice(rank, tuple(tuple(v) for v in basis))
@@ -460,7 +503,7 @@ def parse_problem(text: str, path: str = "<memory>") -> Problem:
     displacement = None
     if "displacement" in raw:
         v = raw["displacement"]
-        if not (isinstance(v, list) and len(v) == rank and all(isinstance(c, int) for c in v)):
+        if not (isinstance(v, list) and len(v) == rank and all(type(c) is int for c in v)):
             raise ProblemError(f"{path}: 'displacement' must be a length-{rank} integer vector")
         displacement = tuple(v)
 

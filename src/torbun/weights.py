@@ -4,10 +4,9 @@ A weight of codimension k assigns to each cone a class of the base ring,
 homogeneous of cohomological degree k - codim(cone), subject to the
 balancing condition.  The relation at (tau, m) pairs m in perp(tau) with
 one lift of each normal n_sigma/tau, from the table the fan keeps per face;
-on perp(tau) every lift gives the same coefficient.  Products are computed by
-displacing the fan by a certified generic vector and summing over pairs of
-cones that still meet; whether a pair meets is decided by one rational
-solve, and the pairs found are kept on the fan for the vector.
+on perp(tau) every lift gives the same coefficient.  Products sum over the
+cone pairs that still meet after a certified generic displacement, deciding
+only pairs where both weights are nonzero, each by one rational solve.
 """
 
 from __future__ import annotations
@@ -165,77 +164,78 @@ def displacement_pairs(fan: Fan, tau: Cone, v):
     at tau: both contain tau, codims add to codim(tau), and sigma1 still
     meets sigma2 + v.  The index is [N : N_sigma1 + N_sigma2].
 
-    Raises NonGenericVector when v lies on a diagonal wall.  The fan keeps
-    the pairs of the last vector used on it in `fan.displacement_table`, a
-    pair (v, {tau: pairs}) that a new vector replaces.
+    Raises NonGenericVector when v lies on a diagonal wall.
     """
+    v, decided = _certified(fan, v)
+    pairs = ((s1, s2, _pair_index(fan, decided, v, tau, s1, s2)) for s1, s2s in _candidates(fan, tau) for s2 in s2s)
+    return [pair for pair in pairs if pair[2] is not None]
+
+
+def _certified(fan: Fan, v):
+    """`fan.displacement_table` for v, renewed when v is new and certified generic."""
     v = tuple(v)
     if fan.displacement_table is None or fan.displacement_table[0] != v:
         if not is_generic_diagonal(fan, v):
             raise NonGenericVector(f"displacement vector {v} lies on a wall; it is not generic")
         fan.displacement_table = (v, {})
-    table = fan.displacement_table[1]
-    if tau not in table:
-        table[tau] = _pairs_at(fan, tau, v)
-    return list(table[tau])
+    return fan.displacement_table
 
 
-def _pairs_at(fan: Fan, tau: Cone, v: Vec):
-    """The displacement pairs at tau for a generic v, one rational solve per
-    candidate.
+def _candidates(fan: Fan, tau: Cone):
+    """Each cone s1 containing tau with the cones s2 containing tau of dimension
+    n + dim(tau) - dim(s1), i.e. codim(s1) + codim(s2) = codim(tau); in fan order."""
+    containing = fan.cones_containing(tau)
+    by_dim = {d: [s for s in containing if s.dim == d] for d in range(tau.dim, fan.ambient_rank + 1)}
+    return [(s1, by_dim[fan.ambient_rank + tau.dim - s1.dim]) for s1 in containing]
 
-    Write S_i = span(sigma_i), T = span(tau).  Translating by points of tau
-    shows that sigma1 meets sigma2 + v iff their images meet in Q^n / T.
-    If x1 - x2 = v has no solution with x_i in S_i, they do not meet.  If it
+
+def _pair_index(fan: Fan, decided: dict, v: Vec, tau: Cone, s1: Cone, s2: Cone):
+    """[N : N_s1 + N_s2] if s1 meets s2 + v, else None; kept in `decided`.
+
+    Write S_i = span(s_i), T = span(tau).  Translating by points of tau
+    shows that s1 meets s2 + v iff their images meet in Q^n / T.  If
+    x1 - x2 = v has no solution with x_i in S_i, they do not meet.  If it
     has one, v lies in S_1 + S_2, which is then Q^n since v is on no wall;
     so S_1 and S_2 meet in T, x1 is unique modulo T, and the pair meets iff
-    <u, x_i> >= 0 for the facet normals u of sigma_i that vanish on tau.
-    The solve returns d * x1 in integers, d > 0, so the test is on
-    d * x1 and d * x2 = d * x1 - d * v.  The index is finite because
-    S_1 + S_2 = Q^n.
+    <u, x_i> >= 0 for the facet normals u of s_i that vanish on tau.  The
+    solve returns d * x1 in integers, d > 0, so the test is on d * x1 and
+    d * x2 = d * x1 - d * v.  The index is finite because S_1 + S_2 = Q^n.
     """
-    n = fan.ambient_rank
-    containing = fan.cones_containing(tau)
-    facing = {s: [u for u in s.facet_normals if not any(dot(u, r) for r in tau.rays)] for s in containing}
-    out = []
-    for s1 in containing:
-        for s2 in containing:
-            if fan.codim(s1) + fan.codim(s2) != fan.codim(tau):
-                continue
-            # x1 in S_1 and x1 - v in S_2
-            rows = list(s1.span_normals) + list(s2.span_normals)
-            rhs = [0] * len(s1.span_normals) + [dot(w, v) for w in s2.span_normals]
-            solution = solve_scaled(rows, rhs) if rows else ([0] * n, 1)
-            if solution is None:
-                continue
+    key = (tau, s1, s2)
+    if key not in decided:
+        # x1 in S_1 and x1 - v in S_2
+        rows = list(s1.span_normals) + list(s2.span_normals)
+        rhs = [0] * len(s1.span_normals) + [dot(w, v) for w in s2.span_normals]
+        solution = solve_scaled(rows, rhs) if rows else ([0] * fan.ambient_rank, 1)
+        index = None
+        if solution is not None:
             x1, d = solution
             x2 = [a - d * b for a, b in zip(x1, v)]
-            meets = all(dot(u, x1) >= 0 for u in facing[s1]) and all(dot(u, x2) >= 0 for u in facing[s2])
-            if not meets:
-                continue
-            idx = lattice_index(n, s1.sublattice.basis + s2.sublattice.basis)
-            out.append((s1, s2, idx))
-    return out
+            if all(dot(u, x) >= 0 for s, x in ((s1, x1), (s2, x2)) for u in s.facet_normals
+                   if not any(dot(u, r) for r in tau.rays)):
+                index = lattice_index(fan.ambient_rank, s1.sublattice.basis + s2.sublattice.basis)
+        decided[key] = index
+    return decided[key]
 
 
 def mw_product(W1: MinkowskiWeight, W2: MinkowskiWeight, v) -> MinkowskiWeight:
-    """Fan displacement product of two Minkowski weights."""
+    """Fan displacement product of two Minkowski weights; only pairs in supp(W1) x supp(W2) add."""
     if W1.fan != W2.fan or W1.algebra != W2.algebra or W1.mixing != W2.mixing:
         raise ValueError("weights live on different bundles")
     fan = W1.fan
     _require_complete(fan)
-    v = tuple(v)
-    algebra = W1.algebra
+    v, decided = _certified(fan, v)
     values = {}
     for tau in fan.cones:
-        total = algebra.zero()
-        for s1, s2, idx in displacement_pairs(fan, tau, v):
-            term = W1.value(s1) * W2.value(s2)
-            if not term.is_zero():
-                total = total + term * idx
+        total = W1.algebra.zero()
+        for s1, s2s in _candidates(fan, tau):
+            if s1 in W1.values:
+                for s2 in s2s:
+                    if s2 in W2.values and (idx := _pair_index(fan, decided, v, tau, s1, s2)):
+                        total = total + W1.values[s1] * W2.values[s2] * idx
         if not total.is_zero():
             values[tau] = total
-    product = MinkowskiWeight(fan, algebra, W1.mixing, W1.codim + W2.codim, values)
+    product = MinkowskiWeight(fan, W1.algebra, W1.mixing, W1.codim + W2.codim, values)
     return _assert_balanced(product, "mw_product")
 
 

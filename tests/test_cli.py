@@ -12,7 +12,7 @@ import pytest
 
 import torbun
 from torbun.cli import main
-from torbun.problem import parse_problem
+from torbun.problem import MAX_BASIS, _count_monomials, parse_problem
 
 from conftest import FIXTURES
 
@@ -473,6 +473,107 @@ def test_constant_powers_within_the_limit(tmp_path, capsys):
     path = tmp_path / "powers.json"
     path.write_text(json.dumps(data))
     assert main(["check-balancing", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "projective", "dim": 200},
+        {"type": "projective", "dim": 1500},
+        {"type": "free_truncated", "generators": [["a", 1]], "top_degree": 10**9},
+        {"type": "free_truncated", "generators": [[f"a{i}", 1] for i in range(100_000)], "top_degree": 1},
+        {"type": "free_truncated", "generators": [["a", 1], ["b", 1], ["c", 1], ["d", 1]], "top_degree": 4},
+        {"type": "explicit", "names": [f"n{i}" for i in range(65)], "degrees": [0] + [1] * 64, "top_degree": 1},
+    ],
+    ids=["projective-200", "projective-1500", "free-top-1e9", "free-many-generators", "free-70", "explicit-65"],
+)
+def test_large_base_algebra_exit_2(tmp_path, spec):
+    # building a base algebra checks associativity on every triple of basis
+    # elements; a basis above the limit is refused before any table is built
+    data = json.loads(open(F1_BUNDLE).read())
+    data["base_algebra"] = spec
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(torbun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    done = subprocess.run(
+        [sys.executable, "-m", "torbun.cli", "check-fan", str(path)],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"more than {MAX_BASIS} basis elements" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_monomial_count_below_the_limit():
+    # the early-stopping count agrees with the basis make_free_truncated builds
+    for degrees in ([], [1], [1, 1], [2, 3], [1, 2, 2], [1, 1, 1], [3, 1, 4, 1]):
+        for top in range(max(degrees, default=0), 5):
+            gens = [(f"g{i}", d) for i, d in enumerate(degrees)]
+            size = len(torbun.make_free_truncated(gens, top).names)
+            assert _count_monomials(degrees, top, MAX_BASIS) == size if size <= MAX_BASIS else size > MAX_BASIS
+    assert _count_monomials([1, 1, 1], 5, MAX_BASIS) == 56
+    assert _count_monomials([1, 1, 1, 1], 4, MAX_BASIS) > MAX_BASIS
+
+
+@pytest.mark.parametrize("site", ["file", "weight-key", "residue-tau"])
+def test_deeply_nested_json_exit_2(capsys, tmp_path, site):
+    path = tmp_path / "nested.json"
+    argv = ["check-fan", str(path)]
+    if site == "file":
+        path.write_text("[" * 200_000)
+    elif site == "weight-key":
+        data = json.loads(open(F1_WEIGHTS).read())
+        data["weights"][0]["values"] = {"[" * 5000: "1"}
+        path.write_text(json.dumps(data))
+        argv = ["check-balancing", str(path)]
+    else:
+        path.write_text(open(F1_PIECEWISE).read())
+        argv = ["residue", str(path), "--tau", "[" * 5000]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nested too deeply" in captured.err
+
+
+@pytest.mark.parametrize(
+    "fixture, command, edit, message",
+    [
+        (F1_BUNDLE, "check-fan", ("lattice_rank", True), "'lattice_rank' must be an integer"),
+        (F1_BUNDLE, "check-fan", ("lattice_rank", -1), "'lattice_rank' must be nonnegative, got -1"),
+        (F1_BUNDLE, "check-fan", ("rays", [[True, 0], [1, 1], [0, 1], [-1, -1]]), "must be a length-2 integer vector"),
+        (F1_BUNDLE, "check-fan", ("cones", [[0, True], [1, 2], [2, 3], [3, 0]]), "must index into the ray list"),
+        (F1_BUNDLE, "check-fan", ("mixing", [[True, 0], [0, 1]]), "integer entries"),
+        (F1_BUNDLE, "check-fan", ("base_algebra", {"type": "projective", "dim": True}), "integer 'dim'"),
+        (F1_BUNDLE, "check-fan", ("base_algebra", {"type": "free_truncated", "generators": [["a1", 1], ["a2", 1]],
+                                                   "top_degree": False}), "integer 'top_degree'"),
+        (F1_BUNDLE, "check-fan", ("base_algebra", {"type": "free_truncated", "generators": [["a1", True], ["a2", 1]],
+                                                   "top_degree": 4}), "[name, degree] pairs"),
+        (F1_WEIGHTS, "check-balancing", ("codim", True), "needs an integer 'codim'"),
+        (P1P1_DIAGONAL, "subbundle", ("displacement", [True, 0]), "'displacement' must be a length-2 integer vector"),
+        (P1P1_DIAGONAL, "subbundle", ("sublattice", [[1, True]]), "sublattice vector"),
+        (F1_PIECEWISE, "pp-to-mw", ("degree", True), "integer 'degree'"),
+    ],
+    ids=["rank-true", "rank-negative", "ray", "cone", "mixing", "projective-dim", "top-degree", "generator-degree",
+         "codim", "displacement", "sublattice", "piece-degree"],
+)
+def test_booleans_are_not_integers_exit_2(capsys, tmp_path, fixture, command, edit, message):
+    data = json.loads(open(fixture).read())
+    key, value = edit
+    if key == "codim":
+        data["weights"][0]["codim"] = value
+    elif key == "degree":
+        data["piecewise"]["degree"] = value
+    else:
+        data[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):

@@ -152,6 +152,27 @@ def test_lattice_index_against_coset_oracle():
         assert abs(det2(gens)) == expected
 
 
+def test_lattice_index_matches_smith_form():
+    # the echelon-form index against the product of the Smith diagonal, on
+    # random generator sets: rank 0-4, 0-7 generators, entries in [-6, 6]
+    rng = random.Random(41)
+    infinite = 0
+    for _ in range(10_000):
+        n = rng.randint(0, 4)
+        gens = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+        if n == 0:
+            want = 1
+        elif not gens:
+            want = tb.INFINITE
+        else:
+            S, _U, _V = smith_normal_form(gens)
+            diagonal = [S[i][i] for i in range(min(len(gens), n))]
+            want = math.prod(diagonal) if len(diagonal) == n and all(diagonal) else tb.INFINITE
+        assert tb.lattice_index(n, gens) == want, (n, gens)
+        infinite += want is tb.INFINITE
+    assert 1000 < infinite < 9000, infinite
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_index_saturation_decomposition(seed):
     rng = random.Random(100 + seed)

@@ -1,6 +1,7 @@
 """Minkowski weights: balancing, module action, displacement products."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -13,6 +14,8 @@ import torbun as tb
 from torbun.problem import parse_problem
 
 from conftest import (
+    F1_MAX_CONES,
+    F1_RAYS,
     FIXTURES,
     P1_CUBED_RAYS,
     cube_fan,
@@ -235,6 +238,140 @@ def test_product_degree_additivity(f1_fan, mixing, W1, W2):
     assert prod.codim == W1.codim + W2.codim
     for cone, el in prod.values.items():
         assert el.is_homogeneous_of(prod.codim - f1_fan.codim(cone))
+
+
+def product_from_public_pairs(W1, W2, v):
+    """The displacement product summed over every pair that the public
+    displacement_pairs lists, whatever the weights' supports."""
+    fan = W1.fan
+    values = {}
+    for tau in fan.cones:
+        total = W1.algebra.zero()
+        for s1, s2, index in tb.displacement_pairs(fan, tau, v):
+            total = total + W1.value(s1) * W2.value(s2) * index
+        values[tau] = total
+    return tb.MinkowskiWeight(fan, W1.algebra, W1.mixing, W1.codim + W2.codim, values)
+
+
+def ray_value_weight(fan, mixing, rng):
+    """pp_to_mw of a piecewise-linear function given by its values on the
+    rays, scaled so that every piece has integer coefficients.  The values
+    are random on simplicial fans; otherwise they are <m, r> + k, which is
+    piecewise linear on the face fan of a polytope with the rays as its
+    vertices, such as the cube fan."""
+    m = [rng.randint(-2, 2) for _ in range(fan.ambient_rank)]
+    k = rng.randint(1, 2)
+    simplicial = fan.is_simplicial()
+    values = {r: rng.randint(-2, 2) if simplicial else tb.lattice.dot(m, r) + k for r in fan.rays}
+    pieces = {}
+    for sigma in fan.maximal_cones:
+        piece = tb.lattice.solve_rational(sigma.rays, [values[r] for r in sigma.rays])
+        assert piece is not None, sigma
+        pieces[sigma] = piece
+    scale = math.lcm(*(c.denominator for piece in pieces.values() for c in piece))
+    pieces = {s: tb.Polynomial.linear_form([int(c * scale) for c in piece]) for s, piece in pieces.items()}
+    return tb.pp_to_mw(tb.PiecewisePolynomial(fan, 1, pieces), mixing)
+
+
+def certified_vectors(fan, count):
+    """The first `count` distinct vectors of the seeded search, seeds 0, 1, ..."""
+    if fan.ambient_rank == 0:
+        return [()]
+    vectors = []
+    for seed in itertools.count():
+        v, _attempts = tb.find_generic_vector(fan, random.Random(seed))
+        if v not in vectors:
+            vectors.append(v)
+        if len(vectors) == count:
+            return vectors
+
+
+def test_product_matches_public_displacement_pairs():
+    # the product decides only pairs in supp(W1) x supp(W2); the sum over
+    # every pair of the public displacement_pairs is the oracle.  Each fan
+    # is fresh, so the product runs first on a cold table
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    rng = random.Random(9)
+    products = nonzero = 0
+    for name, fan in relation_fans().items():
+        mixing = tb.MixingMap(p1, [h * rng.randint(-1, 1) for _ in range(fan.ambient_rank)])
+        zero = tb.MinkowskiWeight(fan, p1, mixing, 1, {})
+        if not tb.is_complete(fan):
+            with pytest.raises(tb.FanNotComplete):
+                tb.mw_product(zero, zero, (1,) * fan.ambient_rank)
+            continue
+        unit = tb.unit_weight(fan, p1, mixing)
+        pl = [ray_value_weight(fan, mixing, rng) for _ in range(2)] if fan.ambient_rank else [unit, unit]
+        pairs = [(unit, pl[0]), (pl[0], pl[1]), (pl[1], pl[0]), (tb.module_action(h, unit), pl[1]), (zero, pl[0]), (pl[1], zero)]
+        for v in certified_vectors(fan, 2):
+            got = [tb.mw_product(Wa, Wb, v) for Wa, Wb in pairs]
+            assert got == [product_from_public_pairs(Wa, Wb, v) for Wa, Wb in pairs], (name, v)
+            products += len(pairs)
+            nonzero += sum(not W.is_zero() for W in got[1:4])
+    assert products > 240 and nonzero > 100, (products, nonzero)
+
+
+def test_product_independent_of_call_order():
+    # a table filled by the public pairs first, or by a product first,
+    # gives the same product and the same pairs
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    rays = shear(projective_space_rays(4), 0, 1, 1)
+    results = []
+    for pairs_first in (True, False):
+        fan = projective_space_fan(4, rays)
+        mixing = tb.MixingMap(p1, [h, p1.zero(), -h, h])
+        W1 = tb.poincare_dual_mw(fan, mixing, [0, 1])
+        W2 = tb.poincare_dual_mw(fan, mixing, [2], h)
+        v = certified_vectors(fan, 1)[0]
+        if pairs_first:
+            pairs = [tb.displacement_pairs(fan, tau, v) for tau in fan.cones]
+        product = tb.mw_product(W1, W2, v)
+        if not pairs_first:
+            pairs = [tb.displacement_pairs(fan, tau, v) for tau in fan.cones]
+        results.append((product.values, pairs))
+    assert results[0] == results[1]
+    assert results[0][0], "the product should not be zero"
+
+
+def test_product_decides_only_supported_pairs(monkeypatch):
+    # work counts: one cold (P^1)^3 product makes a pinned number of rational
+    # solves, fewer than deciding every candidate pair at the same vector
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    counts = {"solves": 0}
+
+    def counted_solve(rows, rhs):
+        counts["solves"] += 1
+        return tb.lattice.solve_scaled(rows, rhs)
+
+    monkeypatch.setattr(tb.weights, "solve_scaled", counted_solve)
+    fan = p1_cubed_fan()
+    mixing = tb.MixingMap(p1, [h, h, p1.zero()])
+    W1 = tb.poincare_dual_mw(fan, mixing, [0])
+    W2 = tb.poincare_dual_mw(fan, mixing, [2])
+    v = certified_vectors(fan, 1)[0]
+    tb.mw_product(W1, W2, v)
+    product_solves = counts["solves"]
+    counts["solves"] = 0
+    fan = p1_cubed_fan()
+    for tau in fan.cones:
+        tb.displacement_pairs(fan, tau, v)
+    assert (product_solves, counts["solves"]) == (16, 352)
+    assert product_solves < counts["solves"]
+
+
+def test_zero_weight_product_certifies_the_vector(f1_fan, base_algebra, mixing, W1):
+    # the vector is certified before any pair is decided, whatever the weights
+    zero = tb.MinkowskiWeight(f1_fan, base_algebra, mixing, 1, {})
+    for Wa, Wb in ((zero, W1), (W1, zero), (zero, zero)):
+        with pytest.raises(tb.NonGenericVector):
+            tb.mw_product(Wa, Wb, (1, 1))
+    fan = tb.fan_from_ray_lists(2, F1_RAYS, F1_MAX_CONES)
+    zero = tb.MinkowskiWeight(fan, base_algebra, mixing, 1, {})
+    assert tb.mw_product(zero, zero, (2, 1)).is_zero()
+    assert fan.displacement_table == ((2, 1), {})
 
 
 # ---------------------------------------------------------------------------
