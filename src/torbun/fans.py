@@ -3,8 +3,10 @@
 Cones are given by primitive ray generators; facet structure is computed by
 brute-force hyperplane enumeration, which is exact and adequate up to the
 declared ambient-rank cap of 4.  A fan is closed under faces; its face lattice
-is built once, and validation checks that pairs of maximal cones meet in
-common faces, by the same brute-force enumeration modulo the common face.
+is built once, each face from a cone it is a face of, and validation checks
+that pairs of maximal cones meet in common faces: by a separating functional
+made of either cone's facet normals where that one separates, else by the
+same brute-force enumeration modulo the common face.
 Genericity of displacement vectors is decided against walls computed once
 per fan.  What is derived from a cone is kept on the Cone, and what is
 derived from a fan on the Fan; the one module-level memo, of cones by their
@@ -142,9 +144,9 @@ def _facet_normals(ambient_rank, prims, d):
     if d == 0:
         return facets
     for subset in itertools.combinations(prims, d - 1):
-        if subset and rational_rank(subset) != d - 1:
-            continue
-        K = perp_basis(saturated_span(ambient_rank, subset))
+        K = rational_kernel(ambient_rank, subset)
+        if len(K) != ambient_rank - d + 1:
+            continue  # the subset spans fewer than d - 1 dimensions
         candidate = None
         for u in K:
             evals = [dot(u, r) for r in prims]
@@ -163,7 +165,7 @@ def _facet_normals(ambient_rank, prims, d):
             continue
         vanishing = frozenset(r for r, e in zip(prims, evals) if e == 0)
         if vanishing not in facets:
-            facets[vanishing] = primitive(u)
+            facets[vanishing] = u
     return facets
 
 
@@ -183,28 +185,58 @@ def is_face(tau: Cone, sigma: Cone) -> bool:
     return _minimal_face_rays(sigma, frozenset(tau.rays)) == frozenset(tau.rays)
 
 
+def _normal_sum(sigma: Cone, rays) -> Vec:
+    """The sum of sigma's facet normals that vanish on the given rays: >= 0
+    on sigma and zero on it exactly along the smallest face containing them,
+    whichever representatives the normals are."""
+    total = (0,) * sigma.ambient_rank
+    for u in sigma.facet_normals:
+        if not any(dot(u, r) for r in rays):
+            total = vec_add(total, u)
+    return total
+
+
 def _minimal_face_rays(sigma: Cone, subset: frozenset) -> frozenset:
     """Rays of the smallest face of sigma containing the given rays."""
-    total = (0,) * sigma.ambient_rank
-    found = False
-    for u in sigma.facet_normals:
-        if all(dot(u, r) == 0 for r in subset):
-            total = vec_add(total, u)
-            found = True
-    if not found:
-        return frozenset(sigma.rays)
+    total = _normal_sum(sigma, subset)
     return frozenset(r for r in sigma.rays if dot(total, r) == 0)
 
 
 def faces_of(sigma: Cone):
     """All faces of a cone, as cones (including itself and the zero cone)."""
+    return _faces_of(sigma, {})
+
+
+def _faces_of(sigma: Cone, built: dict):
+    """faces_of(sigma), taking each face from `built` (frozenset of rays ->
+    cone) or else building it from sigma and adding it there."""
     seen = {}
     for k in range(len(sigma.rays) + 1):
         for subset in itertools.combinations(sigma.rays, k):
             face_rays = _minimal_face_rays(sigma, frozenset(subset))
             if face_rays not in seen:
-                seen[face_rays] = cone_from_rays(sigma.ambient_rank, tuple(sorted(face_rays)))
+                if face_rays not in built:
+                    built[face_rays] = _face(sigma, tuple(sorted(face_rays)))
+                seen[face_rays] = built[face_rays]
     return list(seen.values())
+
+
+def _face(sigma: Cone, rays: tuple) -> Cone:
+    """The face of sigma on these sorted rays of sigma.
+
+    A facet of the face is a face of sigma, so it is cut out by some facet
+    normal u of sigma that does not vanish on the whole face; and the zero
+    set of such a u on the face is a face.  So the facets of the face are
+    the inclusion-maximal zero sets of those u, and one u for each is a
+    facet normal of the face.
+    """
+    zeros = {}  # zero set on the face's rays -> the first normal with it
+    for u in sigma.facet_normals:
+        z = frozenset(r for r in rays if dot(u, r) == 0)
+        if len(z) < len(rays):
+            zeros.setdefault(z, u)
+    facets = [u for z, u in zeros.items() if not any(z < other for other in zeros)]
+    return Cone(sigma.ambient_rank, rays, facets)
 
 
 class Fan:
@@ -226,8 +258,9 @@ class Fan:
         self.ambient_rank = ambient_rank
         # the face lattice: every cone of the closure mapped to its faces
         faces = {}
+        built = {}  # each face once, from the first cone it is a face of
         for c in cones:
-            faces_c = faces_of(c)
+            faces_c = _faces_of(c, built)
             for f in faces_c:
                 if f not in faces:
                     f_rays = set(f.rays)
@@ -397,6 +430,23 @@ def fan_from_ray_lists(ambient_rank, rays, cones_as_indices) -> Fan:
 
 
 def _meet_in_face(s1: Cone, s2: Cone, tau: Cone) -> bool:
+    """True iff s1 meets s2 in tau, for tau a common face of both.
+
+    First a certificate, as in the separation lemma (Fulton, Introduction
+    to Toric Varieties, 1.2): u = _normal_sum(s1, tau.rays) is >= 0 on s1
+    and zero on it exactly along tau.  If u is < 0 on every ray of s2 not
+    in tau (it is zero on tau), then u <= 0 on s2, so s1 and s2 meet in
+    s1 cut by u = 0, which is tau.  Then the same with the roles swapped.
+    When neither sum separates, _meet_by_enumeration decides.
+    """
+    for a, b in ((s1, s2), (s2, s1)):
+        u = _normal_sum(a, tau.rays)
+        if all(dot(u, r) < 0 for r in b.rays if r not in tau.rays):
+            return True
+    return _meet_by_enumeration(s1, s2, tau)
+
+
+def _meet_by_enumeration(s1: Cone, s2: Cone, tau: Cone) -> bool:
     """True iff s1 meets s2 in tau, for tau a common face of both.
 
     Each s_i meets span(tau) in tau, so s1 meets s2 in tau exactly when

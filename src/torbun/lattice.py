@@ -8,6 +8,7 @@ tuples of ints, matrices are tuples of row tuples.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,7 +30,9 @@ MEMO_SIZE = 1024
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(operator.mul, u, v))
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

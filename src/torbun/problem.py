@@ -370,8 +370,11 @@ def _build_algebra(spec) -> GradedAlgebra:
         dim = spec.get("dim")
         if type(dim) is not int or dim < 0:
             raise ProblemError("projective base needs an integer 'dim'")
+        generator = spec.get("generator", "h")
+        if not isinstance(generator, str):
+            raise ProblemError("projective base 'generator' must be a string")
         _check_basis_size(dim + 1)
-        return projective_space_algebra(dim, spec.get("generator", "h"))
+        return projective_space_algebra(dim, generator)
     if kind == "free_truncated":
         gens = spec.get("generators")
         top = spec.get("top_degree")
@@ -379,8 +382,8 @@ def _build_algebra(spec) -> GradedAlgebra:
             raise ProblemError("free_truncated needs 'generators' and integer 'top_degree'")
         pairs = []
         for item in gens:
-            if not (isinstance(item, list) and len(item) == 2 and type(item[1]) is int):
-                raise ProblemError("generators are [name, degree] pairs")
+            if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str) and type(item[1]) is int):
+                raise ProblemError("generators are [name, degree] pairs, the name a string")
             pairs.append((item[0], item[1]))
         # a generator above top_degree adds no monomial; make_free_truncated
         # refuses one of degree below 1
@@ -393,6 +396,14 @@ def _build_algebra(spec) -> GradedAlgebra:
         products = spec.get("products", {})
         if not (isinstance(names, list) and isinstance(degrees, list) and type(top) is int):
             raise ProblemError("explicit algebra needs 'names', 'degrees', 'top_degree'")
+        if not names or len(degrees) != len(names):
+            raise ProblemError("explicit algebra needs as many 'degrees' as 'names', and at least one")
+        if not all(isinstance(name, str) for name in names):
+            raise ProblemError("explicit algebra 'names' must be strings")
+        if not all(type(d) is int for d in degrees):
+            raise ProblemError("explicit algebra 'degrees' must be integers")
+        if not (isinstance(products, dict) and all(isinstance(expr, str) for expr in products.values())):
+            raise ProblemError("explicit algebra 'products' must be an object of strings")
         _check_basis_size(len(names))
         index = {n: i for i, n in enumerate(names)}
         # product values are linear combinations of basis names; evaluating a

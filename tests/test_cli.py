@@ -576,6 +576,46 @@ def test_booleans_are_not_integers_exit_2(capsys, tmp_path, fixture, command, ed
     assert message in captured.err
 
 
+# an explicit base algebra with two degree-one elements, as the F1 mixing needs
+EXPLICIT = {"type": "explicit", "names": ["1", "a1", "a2", "p"], "degrees": [0, 1, 1, 2], "top_degree": 2,
+            "products": {"1*1": "1", "1*a1": "a1", "1*a2": "a2", "1*p": "p", "a1*a2": "p"}}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (dict(EXPLICIT, names=["1", ["a1"], "a2", "p"]), "'names' must be strings"),
+        (dict(EXPLICIT, degrees=[0, "1", 1, 2]), "'degrees' must be integers"),
+        (dict(EXPLICIT, products=[["a1*a2", "p"]]), "'products' must be an object of strings"),
+        (dict(EXPLICIT, products={"a1*a2": 1}), "'products' must be an object of strings"),
+        (dict(EXPLICIT, degrees=[0, 1, 1]), "as many 'degrees' as 'names'"),
+        (dict(EXPLICIT, names=[], degrees=[]), "at least one"),
+        ({"type": "free_truncated", "generators": [[["a1"], 1], ["a2", 1]], "top_degree": 4}, "the name a string"),
+        ({"type": "projective", "dim": 2, "generator": 7}, "'generator' must be a string"),
+    ],
+    ids=["name-list", "degree-string", "products-list", "product-number", "degrees-short", "empty",
+         "generator-name-list", "projective-generator-number"],
+)
+def test_malformed_base_algebra_exit_2(capsys, tmp_path, spec, message):
+    data = json.loads(open(F1_BUNDLE).read())
+    data["base_algebra"] = spec
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-fan", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_explicit_base_algebra_accepted(capsys, tmp_path):
+    data = json.loads(open(F1_BUNDLE).read())
+    data["base_algebra"] = EXPLICIT
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(data))
+    code, doc = run_json(capsys, "check-fan", str(path))
+    assert code == 0 and doc["outputs"]["complete"]
+
+
 def test_invariant_violation_exits_3(capsys, monkeypatch):
     real = torbun.lattice._snf_ext
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,17 @@ import pytest
 import torbun as tb
 from torbun.problem import parse_problem
 
-from conftest import FIXTURES, cube_fan, p1_cubed_fan
+from torbun.lattice import dot
+
+from conftest import (
+    FIXTURES,
+    P1_CUBED_RAYS,
+    cube_fan,
+    p1_cubed_fan,
+    projective_space_fan,
+    projective_space_rays,
+    shear,
+)
 from fm_oracle import _contained_in_cone, cone_shift_intersect, single_point_pairs
 
 
@@ -254,6 +265,141 @@ def test_meet_in_face_matches_fourier_motzkin():
         assert verdicts[rank, True, True] and verdicts[rank, True, False], verdicts
     assert verdicts[3, False, True] and verdicts[3, False, False], verdicts
     assert verdicts[1, True, False], verdicts
+
+
+def count_meet_routes(monkeypatch, certified=None):
+    """Count the maximal pairs validation decides, and those of them left to
+    the enumeration; append each pair the certificate settles to `certified`."""
+    counts = Counter()
+    meet, enumeration = tb.fans._meet_in_face, tb.fans._meet_by_enumeration
+
+    def counted_meet(s1, s2, tau):
+        counts["pairs"] += 1
+        before = counts["enumerated"]
+        verdict = meet(s1, s2, tau)
+        if certified is not None and counts["enumerated"] == before:
+            certified.append((s1, s2, tau))
+        return verdict
+
+    def counted_enumeration(s1, s2, tau):
+        counts["enumerated"] += 1
+        verdict = enumeration(s1, s2, tau)
+        counts["enumerated", verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(tb.fans, "_meet_in_face", counted_meet)
+    monkeypatch.setattr(tb.fans, "_meet_by_enumeration", counted_enumeration)
+    return counts
+
+
+def test_fan_validation_settles_pairs_by_certificate_and_by_enumeration(monkeypatch):
+    # a separating functional settles most valid pairs; the enumeration
+    # settles the rest, and every invalid one.  What the certificate settles
+    # Fourier-Motzkin confirms
+    certified = []
+    counts = count_meet_routes(monkeypatch, certified)
+    rng = random.Random(4)
+    for rank, count in ((2, 60), (3, 30), (4, 20)):
+        for _ in range(count):
+            rays = rng.sample(RAY_POOLS[rank], rng.randint(rank + 1, rank + 2))
+            cones = [rng.sample(range(len(rays)), rng.randint(2, rank)) for _ in range(3)]
+            try:
+                tb.fan_from_ray_lists(rank, rays, cones)
+            except (tb.NotStronglyConvex, tb.InvalidFan):
+                pass
+    assert len(certified) == counts["pairs"] - counts["enumerated"]
+    assert certified and counts["enumerated", True] and counts["enumerated", False], counts
+    for s1, s2, tau in certified:
+        assert _contained_in_cone(s1, s2, tau), (s1, s2, tau)
+
+
+def test_meet_in_face_falls_back_when_neither_sum_separates(monkeypatch):
+    counts = count_meet_routes(monkeypatch)
+    s1 = tb.cone_from_rays(2, [(1, 0), (1, 1)])
+    s2 = tb.cone_from_rays(2, [(0, 1), (-1, 5)])
+    zero = tb.zero_cone(2)
+    # s1's sum (1, 0) vanishes on the ray (0, 1) of s2, and s2's sum (4, 1)
+    # is positive on the ray (1, 0) of s1; yet the cones meet only in 0
+    assert tb.fans._normal_sum(s1, ()) == (1, 0) and tb.fans._normal_sum(s2, ()) == (4, 1)
+    assert tb.fans._meet_in_face(s1, s2, zero)
+    assert _contained_in_cone(s1, s2, zero)
+    assert counts == {"pairs": 1, "enumerated": 1, ("enumerated", True): 1}
+    fan = tb.fan_from_ray_lists(2, [(1, 0), (1, 1), (0, 1), (-1, 5)], [(0, 1), (2, 3)])
+    assert len(fan.maximal_cones) == 2 and counts["enumerated"] == 2
+    # two cones crossing: no certificate exists, and the enumeration rejects
+    with pytest.raises(tb.InvalidFan):
+        tb.fan_from_ray_lists(2, [(1, 0), (1, 2), (1, 1), (0, 1)], [(0, 1), (2, 3)])
+    assert counts["enumerated", False] == 1
+
+
+def clear_torbun_memos():
+    """Empty every module-level memo of torbun, as in a fresh process."""
+    for name, module in list(sys.modules.items()):
+        if name == "torbun" or name.startswith("torbun."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+# rational eliminations of one cold (P^1)^3 build under a shear: 8 for each
+# maximal cone, 2 more for the zero cone's
+COLD_P1_CUBED_RREF_CALLS = 66
+
+
+def test_cold_sheared_p1_cubed_build_work_counts(monkeypatch):
+    # faces come from their maximal cones, with no elimination, and a
+    # separating functional settles every maximal pair
+    counts = count_meet_routes(monkeypatch)
+    rref = tb.lattice._rref
+    calls = Counter()
+
+    def counted_rref(rows):
+        calls["rref"] += 1
+        return rref(rows)
+
+    monkeypatch.setattr(tb.lattice, "_rref", counted_rref)
+    for i, j in itertools.permutations(range(3), 2):
+        for s in (1, -1):
+            clear_torbun_memos()
+            calls.clear()
+            p1_cubed_fan(shear(P1_CUBED_RAYS, i, j, s))
+            assert calls["rref"] <= COLD_P1_CUBED_RREF_CALLS, (i, j, s, calls)
+    assert counts == {"pairs": 12 * 28}, counts
+
+
+# ---------------------------------------------------------------------------
+# faces built from their maximal cones
+
+
+def p1_fourth_fan():
+    rays = [tuple(s * int(k == i) for k in range(4)) for i in range(4) for s in (1, -1)]
+    return tb.fan_from_ray_lists(4, rays, list(itertools.product((0, 1), (2, 3), (4, 5), (6, 7))))
+
+
+def test_faces_match_cone_from_rays():
+    # every cone of a fan is built from the first cone it is a face of; it
+    # must be the cone cone_from_rays builds on its rays.  Facet normals of a
+    # lower-dimensional cone are defined modulo its perp, so there only
+    # their zero sets on the rays and their signs must agree
+    fans = [fixture_fan(path.stem) for path in sorted(FIXTURES.glob("*.json"))]
+    fans += [p1_cubed_fan(shear(P1_CUBED_RAYS, i, j, s)) for i, j in itertools.permutations(range(3), 2) for s in (1, -1)]
+    fans += [cube_fan(), cube_fan(1), projective_space_fan(4, shear(projective_space_rays(4), 0, 1, 1)), p1_fourth_fan()]
+    full = 0
+    for fan in fans:
+        for cone in fan.cones:
+            want = tb.cone_from_rays(fan.ambient_rank, cone.rays)
+            assert (cone.rays, cone.dim, cone.sublattice.basis, cone.span_normals) == (
+                want.rays, want.dim, want.sublattice.basis, want.span_normals
+            )
+            values = [[dot(u, r) for r in cone.rays] for u in cone.facet_normals]
+            assert all(e >= 0 for row in values for e in row), cone
+            zero_sets = lambda c: [frozenset(r for r in c.rays if dot(u, r) == 0) for u in c.facet_normals]
+            assert len(cone.facet_normals) == len(want.facet_normals), cone
+            assert set(zero_sets(cone)) == set(zero_sets(want)), cone
+            if cone.dim == fan.ambient_rank:
+                assert sorted(cone.facet_normals) == sorted(want.facet_normals), cone
+                full += 1
+    assert full >= 12 * 8 + 2 * 6 + 5 + 16
 
 
 # ---------------------------------------------------------------------------

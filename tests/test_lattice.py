@@ -9,6 +9,7 @@ import pytest
 import torbun as tb
 from torbun.lattice import (
     _solve_integer,
+    dot,
     identity_matrix,
     is_saturated,
     mat_mul,
@@ -107,6 +108,18 @@ def test_primitive():
     assert tb.primitive((-3, -6, -9)) == (-1, -2, -3)
     with pytest.raises(tb.ZeroVector):
         tb.primitive((0, 0))
+
+
+def test_dot():
+    assert dot((1, -2, 3), (4, 5, 6)) == 12
+    assert dot([1, 2], (Fraction(1, 2), Fraction(1, 4))) == 1
+    assert dot((), ()) == 0
+
+
+@pytest.mark.parametrize("u, v", [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ([1, 2], [1]), ([], [0]), ([1], ())])
+def test_dot_length_mismatch_raises(u, v):
+    with pytest.raises(ValueError):
+        dot(u, v)
 
 
 # ---------------------------------------------------------------------------
