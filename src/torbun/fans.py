@@ -1,10 +1,11 @@
 """Rational polyhedral cones and fans.
 
-Cones are given by primitive ray generators; facet structure is computed by
-brute-force hyperplane enumeration, which is exact and adequate up to the
-declared ambient-rank cap of 4.  A fan is closed under faces; its face lattice
-is built once, each face from a cone it is a face of, and validation checks
-that pairs of maximal cones meet in common faces: by a separating functional
+Cones are given by primitive ray generators; facet normals are computed by
+brute-force hyperplane enumeration, exact and adequate up to the declared
+ambient-rank cap of 4, and faces by closing the facets' zero sets under
+intersection.  A fan is closed under faces; its face lattice is built once,
+each face from the first cone it is a face of, and validation checks that
+pairs of maximal cones meet in common faces: by a separating functional
 made of either cone's facet normals where that one separates, else by the
 same brute-force enumeration modulo the common face.
 Genericity of displacement vectors is decided against walls computed once
@@ -175,14 +176,16 @@ def cone_sublattice(cone: Cone) -> Sublattice:
 
 
 def is_face(tau: Cone, sigma: Cone) -> bool:
-    """True iff tau is cut out of sigma by a supporting normal (tau=sigma ok)."""
+    """True iff tau is cut out of sigma by a supporting normal (tau=sigma ok):
+    the sum of sigma's facet normals vanishing on tau is nonzero on every
+    other ray of sigma."""
     if tau.ambient_rank != sigma.ambient_rank:
         raise ValueError("ambient rank mismatch")
     tau_rays = set(tau.rays)
-    sigma_rays = set(sigma.rays)
-    if not tau_rays <= sigma_rays:
+    if not tau_rays.issubset(sigma.rays):
         return False
-    return _minimal_face_rays(sigma, frozenset(tau.rays)) == frozenset(tau.rays)
+    total = _normal_sum(sigma, tau.rays)
+    return all(dot(total, r) for r in sigma.rays if r not in tau_rays)
 
 
 def _normal_sum(sigma: Cone, rays) -> Vec:
@@ -196,47 +199,38 @@ def _normal_sum(sigma: Cone, rays) -> Vec:
     return total
 
 
-def _minimal_face_rays(sigma: Cone, subset: frozenset) -> frozenset:
-    """Rays of the smallest face of sigma containing the given rays."""
-    total = _normal_sum(sigma, subset)
-    return frozenset(r for r in sigma.rays if dot(total, r) == 0)
-
-
 def faces_of(sigma: Cone):
-    """All faces of a cone, as cones (including itself and the zero cone)."""
+    """All faces of a cone, as cones (including itself and the zero cone),
+    itself first."""
     return _faces_of(sigma, {})
 
 
 def _faces_of(sigma: Cone, built: dict):
     """faces_of(sigma), taking each face from `built` (frozenset of rays ->
-    cone) or else building it from sigma and adding it there."""
-    seen = {}
-    for k in range(len(sigma.rays) + 1):
-        for subset in itertools.combinations(sigma.rays, k):
-            face_rays = _minimal_face_rays(sigma, frozenset(subset))
-            if face_rays not in seen:
-                if face_rays not in built:
-                    built[face_rays] = _face(sigma, tuple(sorted(face_rays)))
-                seen[face_rays] = built[face_rays]
-    return list(seen.values())
+    cone) or else building it from sigma and adding it there.
 
-
-def _face(sigma: Cone, rays: tuple) -> Cone:
-    """The face of sigma on these sorted rays of sigma.
-
-    A facet of the face is a face of sigma, so it is cut out by some facet
-    normal u of sigma that does not vanish on the whole face; and the zero
-    set of such a u on the face is a face.  So the facets of the face are
-    the inclusion-maximal zero sets of those u, and one u for each is a
-    facet normal of the face.
+    Every proper face of sigma is an intersection of facets, so the faces'
+    ray sets are those of sigma closed under intersection with the facets'
+    zero sets.  A facet of a face F is a face of sigma, so it is cut out by
+    some facet normal u of sigma that does not vanish on all of F; and the
+    cut of F by such a u is a face.  So the facets of F are its
+    inclusion-maximal proper cuts, and the first u giving each is a facet
+    normal of F.
     """
-    zeros = {}  # zero set on the face's rays -> the first normal with it
-    for u in sigma.facet_normals:
-        z = frozenset(r for r in rays if dot(u, r) == 0)
-        if len(z) < len(rays):
-            zeros.setdefault(z, u)
-    facets = [u for z, u in zeros.items() if not any(z < other for other in zeros)]
-    return Cone(sigma.ambient_rank, rays, facets)
+    zeros = [(frozenset(r for r in sigma.rays if dot(u, r) == 0), u) for u in sigma.facet_normals]
+    order = [frozenset(sigma.rays)]
+    seen = set(order)
+    for face in order:  # grows as the closure finds new faces
+        cuts = {}  # each proper cut of the face -> the first normal giving it
+        for z, u in zeros:
+            if not face <= z:
+                cuts.setdefault(face & z, u)
+        order += [c for c in cuts if c not in seen]
+        seen.update(cuts)
+        if face not in built:
+            facets = [u for c, u in cuts.items() if not any(c < other for other in cuts)]
+            built[face] = Cone(sigma.ambient_rank, sorted(face), facets)
+    return [built[face] for face in order]
 
 
 class Fan:
@@ -283,7 +277,6 @@ class Fan:
                 self._containing[t].append(s)
         self._by_key = {self.cone_key(c): c for c in self.cones}
         self.maximal_cones = [c for c in self.cones if self._containing[c] == [c]]
-        self.face_relations = frozenset((t, s) for s in self.cones for t in faces[s])
         self.displacement_table = None
         self._relation_normals = {}
         if validate:

@@ -35,11 +35,19 @@ MAX_DIGITS = 1000
 # associativity on every triple of them, a cost cubic in the basis size
 MAX_BASIS = 64
 
+# a cone lists at most this many ray indices: its facet normals take one
+# kernel for each choice of dim - 1 of its rays
+MAX_CONE_RAYS = 32
+
 
 # ---------------------------------------------------------------------------
 # expression grammar: integers, names, + - * ^ and parentheses
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*|\+|-|\^|\(|\))")
+
+# basis and generator names of a base algebra are names of this grammar, so
+# that every printed class reads back as itself
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def _tokenize(text: str):
@@ -77,6 +85,8 @@ def parse_expression(text: str, atom, constant, coefficients, max_degree=None):
     after a few squarings, and a product or power of polynomials at the
     first step above max_degree, instead of exhausting memory.
     """
+    if not isinstance(text, str):
+        raise ProblemError(f"an expression must be a string, got {text!r:.40}")
     tokens = _tokenize(text)
     pos = 0
     limit = 10**MAX_DIGITS
@@ -149,7 +159,10 @@ def parse_expression(text: str, atom, constant, coefficients, max_degree=None):
             return constant(_parse_int(tok, text))
         return atom(tok)
 
-    value = parse_sum()
+    try:
+        value = parse_sum()
+    except RecursionError:
+        raise ProblemError(f"expression {text[:40]!r} is nested too deeply") from None
     if pos != len(tokens):
         raise ProblemError(f"trailing tokens in expression {text!r}")
     return value
@@ -360,6 +373,15 @@ def _check_basis_size(size: int):
         raise ProblemError(f"base algebra has more than {MAX_BASIS} basis elements, the limit")
 
 
+def _check_name(name: str, unit: bool = False):
+    """Refuse a basis or generator name that an expression would not read
+    as that one name; an explicit algebra's unit may also be called "1"."""
+    if not (_NAME.fullmatch(name) or (unit and name == "1")):
+        raise ProblemError(
+            f"base algebra name {name!r} must be letters, digits and '_', not starting with a digit"
+        )
+
+
 def _build_algebra(spec) -> GradedAlgebra:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ProblemError("base_algebra must be an object with a 'type'")
@@ -373,6 +395,7 @@ def _build_algebra(spec) -> GradedAlgebra:
         generator = spec.get("generator", "h")
         if not isinstance(generator, str):
             raise ProblemError("projective base 'generator' must be a string")
+        _check_name(generator)
         _check_basis_size(dim + 1)
         return projective_space_algebra(dim, generator)
     if kind == "free_truncated":
@@ -384,6 +407,7 @@ def _build_algebra(spec) -> GradedAlgebra:
         for item in gens:
             if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str) and type(item[1]) is int):
                 raise ProblemError("generators are [name, degree] pairs, the name a string")
+            _check_name(item[0])
             pairs.append((item[0], item[1]))
         # a generator above top_degree adds no monomial; make_free_truncated
         # refuses one of degree below 1
@@ -400,6 +424,8 @@ def _build_algebra(spec) -> GradedAlgebra:
             raise ProblemError("explicit algebra needs as many 'degrees' as 'names', and at least one")
         if not all(isinstance(name, str) for name in names):
             raise ProblemError("explicit algebra 'names' must be strings")
+        for i, name in enumerate(names):
+            _check_name(name, unit=i == 0)
         if not all(type(d) is int for d in degrees):
             raise ProblemError("explicit algebra 'degrees' must be integers")
         if not (isinstance(products, dict) and all(isinstance(expr, str) for expr in products.values())):
@@ -458,6 +484,8 @@ def parse_problem(text: str, path: str = "<memory>") -> Problem:
     for c in cones:
         if not (isinstance(c, list) and all(type(i) is int and 0 <= i < len(rays) for i in c)):
             raise ProblemError(f"{path}: cone {c!r} must index into the ray list")
+        if len(c) > MAX_CONE_RAYS:
+            raise ProblemError(f"{path}: a cone lists {len(c)} rays, more than {MAX_CONE_RAYS}, the limit")
     try:
         fan = fan_from_ray_lists(rank, [tuple(r) for r in rays], [tuple(c) for c in cones])
     except InvariantViolation:

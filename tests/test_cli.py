@@ -12,7 +12,7 @@ import pytest
 
 import torbun
 from torbun.cli import main
-from torbun.problem import MAX_BASIS, _count_monomials, parse_problem
+from torbun.problem import MAX_BASIS, MAX_CONE_RAYS, _count_monomials, parse_problem
 
 from conftest import FIXTURES
 
@@ -518,7 +518,7 @@ def test_monomial_count_below_the_limit():
     assert _count_monomials([1, 1, 1, 1], 4, MAX_BASIS) > MAX_BASIS
 
 
-@pytest.mark.parametrize("site", ["file", "weight-key", "residue-tau"])
+@pytest.mark.parametrize("site", ["file", "weight-key", "residue-tau", "expression-parentheses", "expression-negations"])
 def test_deeply_nested_json_exit_2(capsys, tmp_path, site):
     path = tmp_path / "nested.json"
     argv = ["check-fan", str(path)]
@@ -527,6 +527,12 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, site):
     elif site == "weight-key":
         data = json.loads(open(F1_WEIGHTS).read())
         data["weights"][0]["values"] = {"[" * 5000: "1"}
+        path.write_text(json.dumps(data))
+        argv = ["check-balancing", str(path)]
+    elif site.startswith("expression"):
+        opening = "(" if site == "expression-parentheses" else "(-"
+        data = json.loads(open(F1_WEIGHTS).read())
+        data["weights"][0]["values"]["[1]"] = opening * 3000 + "1" + ")" * 3000
         path.write_text(json.dumps(data))
         argv = ["check-balancing", str(path)]
     else:
@@ -614,6 +620,100 @@ def test_explicit_base_algebra_accepted(capsys, tmp_path):
     path.write_text(json.dumps(data))
     code, doc = run_json(capsys, "check-fan", str(path))
     assert code == 0 and doc["outputs"]["complete"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "projective", "dim": 2, "generator": "h*h"},
+        {"type": "projective", "dim": 2, "generator": ""},
+        {"type": "projective", "dim": 2, "generator": "a1+"},
+        {"type": "free_truncated", "generators": [["a1", 1], ["h*h", 1]], "top_degree": 4},
+        {"type": "free_truncated", "generators": [["a1", 1], ["2a", 1]], "top_degree": 4},
+        dict(EXPLICIT, names=["1", "a1", "a2", "a1+"]),
+        dict(EXPLICIT, names=["e", "a1", "1", "p"]),
+    ],
+    ids=["projective-product", "projective-empty", "projective-sum", "free-product", "free-digit-first",
+         "explicit-sum", "explicit-1-not-unit"],
+)
+def test_base_algebra_names_exit_2(capsys, tmp_path, spec):
+    # a name the expression grammar reads as something else would print
+    # relations that read as other classes
+    data = json.loads(open(F1_BUNDLE).read())
+    data["base_algebra"] = spec
+    if spec["type"] == "projective":
+        data["mixing"] = [[1], [1]]  # one degree-one class
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(data))
+    assert main(["presentation", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be letters, digits and '_', not starting with a digit" in captured.err
+
+
+def test_base_algebra_names_accepted(capsys, tmp_path):
+    data = json.loads(open(F1_BUNDLE).read())
+    data["base_algebra"] = {"type": "free_truncated", "generators": [["b_1", 1], ["_B2", 1]], "top_degree": 4}
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "presentation", str(path))
+    assert code == 0 and "b_1" in out and "_B2" in out
+
+
+@pytest.mark.parametrize(
+    "fixture, command, edit",
+    [(F1_WEIGHTS, "check-balancing", [1]), (F1_PIECEWISE, "pp-to-mw", 2)],
+    ids=["weight-list", "piece-number"],
+)
+def test_expression_not_a_string_exit_2(capsys, tmp_path, fixture, command, edit):
+    data = json.loads(open(fixture).read())
+    if command == "pp-to-mw":
+        data["piecewise"]["pieces"]["[1,2]"] = edit
+    else:
+        data["weights"][0]["values"]["[1]"] = edit
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"an expression must be a string, got {edit!r}" in captured.err
+
+
+def cone_file(tmp_path, rays):
+    """A problem file whose fan is the one cone on all the given rays."""
+    path = tmp_path / "cone.json"
+    rank = len(rays[0])
+    path.write_text(json.dumps({"lattice_rank": rank, "rays": rays, "cones": [list(range(len(rays)))],
+                                "base_algebra": {"type": "point"}, "mixing": [[]] * rank}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "rays, want",
+    [
+        ([[1, t, t * t] for t in range(24)], 0),
+        ([[1, t, t * t, t**3] for t in range(MAX_CONE_RAYS)], 0),
+        ([[1, t, t * t, t**3] for t in range(MAX_CONE_RAYS + 1)], 2),
+    ],
+    ids=["24-gon", "cyclic-at-limit", "cyclic-above-limit"],
+)
+def test_cone_with_many_rays_finishes(tmp_path, rays, want):
+    # faces come from closing facet zero sets, not from all 2^k subsets of
+    # the rays; facet normals still take one kernel per dim - 1 rays, so a
+    # cone above the ray limit is refused before any fan is built
+    path = cone_file(tmp_path, rays)
+    src = str(Path(torbun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    done = subprocess.run(
+        [sys.executable, "-m", "torbun.cli", "check-fan", str(path)],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap,
+    )
+    assert done.returncode == want
+    assert "Traceback" not in done.stderr
+    if want == 2:
+        assert done.stdout == ""
+        assert f"a cone lists {MAX_CONE_RAYS + 1} rays, more than {MAX_CONE_RAYS}, the limit" in done.stderr
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):

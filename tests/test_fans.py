@@ -1,6 +1,7 @@
 """Cones, fans, stars, completeness, triangulation, genericity."""
 
 import itertools
+import json
 import random
 import sys
 from collections import Counter
@@ -102,13 +103,11 @@ def test_fan_face_closure(f1_fan):
     assert len(f1_fan.cones) == 9
     assert len(f1_fan.maximal_cones) == 4
     # face relation is reflexive and transitive
-    rel = f1_fan.face_relations
-    for c in f1_fan.cones:
-        assert (c, c) in rel
-    for (a, b) in rel:
-        for (c, d) in rel:
-            if b == c:
-                assert (a, d) in rel
+    for a in f1_fan.cones:
+        above = f1_fan.cones_containing(a)
+        assert a in above
+        for b in above:
+            assert set(f1_fan.cones_containing(b)) <= set(above)
 
 
 def test_fan_rejects_improper_intersections():
@@ -163,9 +162,9 @@ def assert_lattice_matches_is_face_sweeps(fan):
     ]
     for tau in cones:
         assert fan.cones_containing(tau) == [s for s in cones if tb.is_face(tau, s)]
-    assert fan.face_relations == frozenset(
+    assert {(t, s) for t in cones for s in fan.cones_containing(t)} == {
         (t, s) for t in cones for s in cones if tb.is_face(t, s)
-    )
+    }
 
 
 def test_face_lattice_matches_is_face_sweeps(f1_fan):
@@ -400,6 +399,102 @@ def test_faces_match_cone_from_rays():
                 assert sorted(cone.facet_normals) == sorted(want.facet_normals), cone
                 full += 1
     assert full >= 12 * 8 + 2 * 6 + 5 + 16
+
+
+def subset_walk_faces(sigma, built):
+    """The faces of sigma by the walk over all 2^k subsets of its k rays,
+    the face enumeration the closure replaced, kept as its oracle: ray set
+    -> (sorted rays, facet normals).  The smallest face containing a subset
+    is where _normal_sum of the subset vanishes.  A face not yet in `built`
+    is added there, with as facet normals the first of sigma's normals
+    giving each inclusion-maximal proper zero set on the face."""
+    faces = {}
+    for k in range(len(sigma.rays) + 1):
+        for subset in itertools.combinations(sigma.rays, k):
+            total = tb.fans._normal_sum(sigma, subset)
+            face = frozenset(r for r in sigma.rays if dot(total, r) == 0)
+            if face in faces:
+                continue
+            if face not in built:
+                rays = tuple(sorted(face))
+                zeros = {}
+                for u in sigma.facet_normals:
+                    z = frozenset(r for r in rays if dot(u, r) == 0)
+                    if len(z) < len(rays):
+                        zeros.setdefault(z, u)
+                built[face] = (rays, tuple(u for z, u in zeros.items() if not any(z < other for other in zeros)))
+            faces[face] = built[face]
+    return faces
+
+
+def assert_faces_match_subset_walk(rank, rays, cones):
+    """faces_of each input cone, and every cone of the fan on them, have
+    exactly the subset walk's ray sets, and its facet normals in the same
+    order; each face of the fan comes from the first input cone it is a
+    face of.  is_face agrees with the walk on every set of at most two rays."""
+    fan = tb.fan_from_ray_lists(rank, rays, cones)
+    built = {}
+    for ix in cones:
+        sigma = tb.cone_from_rays(rank, [rays[i] for i in ix])
+        subset_walk_faces(sigma, built)
+        faces = tb.faces_of(sigma)
+        got = {frozenset(f.rays): (f.rays, f.facet_normals) for f in faces}
+        want = subset_walk_faces(sigma, {})
+        assert got == want and len(faces) == len(want), sigma
+        for k in range(3):
+            for subset in itertools.combinations(sigma.rays, k):
+                tau = tb.cone_from_rays(rank, subset)
+                assert tb.is_face(tau, sigma) == (frozenset(subset) in want), (tau, sigma)
+    built.setdefault(frozenset(), ((), ()))
+    assert {frozenset(c.rays): (c.rays, c.facet_normals) for c in fan.cones} == built
+    return fan
+
+
+def fan_spec(fan):
+    """(rank, rays, maximal cones by ray index) of a fan."""
+    return fan.ambient_rank, list(fan.rays), [fan.cone_key(c) for c in fan.maximal_cones]
+
+
+def seeded_polytope_cones(rng):
+    """Seeded cones over polytopes of at most 10 vertices, each with its
+    negative, as (rank, rays, cones), all under random shears: k-gons
+    (1, t, t^2), cyclic polytopes (1, t, t^2, t^3), and polytopes on random
+    points (1, a, b, c) of {1} x {-1, 0, 1}^3, many with non-simplicial
+    facets."""
+    specs = []
+    for rank, kind, ks in ((3, "moment", range(3, 11)), (4, "moment", range(4, 11)), (4, "cube", range(5, 11))):
+        for k in ks:
+            if kind == "cube":
+                points = rng.sample(list(itertools.product((-1, 0, 1), repeat=3)), k)
+                rays = [(1,) + p for p in points]
+            else:
+                rays = [tuple(t**e for e in range(rank)) for t in rng.sample(range(-6, 7), k)]
+            for _ in range(3):
+                i, j = rng.sample(range(rank), 2)
+                rays = shear(rays, i, j, rng.choice((1, -1)))
+            rays = tb.cone_from_rays(rank, rays).rays
+            negated = [tuple(-c for c in r) for r in rays]
+            specs.append((rank, list(rays) + negated, [range(len(rays)), range(len(rays), 2 * len(rays))]))
+    return specs
+
+
+def test_faces_match_subset_walk():
+    specs = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        raw = json.loads(path.read_text())
+        specs.append((raw["lattice_rank"], [tuple(r) for r in raw["rays"]], raw["cones"]))
+    fans = [p1_cubed_fan(shear(P1_CUBED_RAYS, i, j, s)) for i, j in itertools.permutations(range(3), 2) for s in (1, -1)]
+    fans += [p1_cubed_fan(), cube_fan(), cube_fan(1), projective_space_fan(3), projective_space_fan(4),
+             projective_space_fan(4, shear(projective_space_rays(4), 0, 1, 1)), p1_fourth_fan()]
+    specs += [fan_spec(fan) for fan in fans]
+    specs += seeded_polytope_cones(random.Random(12))
+    shapes = Counter()
+    for rank, rays, cones in specs:
+        fan = assert_faces_match_subset_walk(rank, rays, cones)
+        for cone in fan.cones:
+            shapes[cone.dim, cone.is_simplicial] += 1
+    # non-simplicial cones of every dimension they can have
+    assert shapes[3, False] and shapes[4, False], shapes
 
 
 # ---------------------------------------------------------------------------
