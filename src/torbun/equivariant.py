@@ -1,12 +1,13 @@
 """Piecewise polynomials, equivariant multiplicities, and the limit map.
 
-The multiplicity attached to a maximal cone and a face is computed in the
-star of the face: for a simplicial image cone it is the reciprocal of the
-cone multiplicity times the product of the rational dual-basis characters,
-and non-simplicial image cones are handled by summing over a triangulation.
-Residue sums of a compatible piecewise polynomial are always genuine
-polynomials; their images under the twisting map assemble into a balanced
-Minkowski weight.
+The multiplicity e(sigma, tau) of a full-dimensional cone along a face is
+read off one triangulation of sigma in N: the simplices containing a fixed
+top simplex T of tau's part of it, taken modulo span(tau), triangulate the
+image of sigma in the star of tau.  Each such simplex P adds the reciprocal
+of mult(P)/mult(T) times the product of its dual-basis characters at the
+rays outside T.  Residue sums of a compatible piecewise polynomial are
+always genuine polynomials; their images under the twisting map assemble
+into a balanced Minkowski weight.
 """
 
 from __future__ import annotations
@@ -16,16 +17,8 @@ from fractions import Fraction
 
 from .algebra import MixingMap
 from .errors import FanNotComplete, ResidueNotPolynomial, check_invariant
-from .fans import (
-    Cone,
-    Fan,
-    is_complete,
-    is_face,
-    multiplicity,
-    star_image_cone,
-    triangulate,
-)
-from .lattice import dot, invert_rational, quotient_map
+from .fans import Cone, Fan, cone_from_rays, is_complete, is_face, multiplicity, triangulate
+from .lattice import dual_basis
 from .polynomials import LinearFraction, Polynomial
 from .weights import MinkowskiWeight, _assert_balanced
 
@@ -87,37 +80,32 @@ def check_pp(f: PiecewisePolynomial):
 
 
 def _star_multiplicity_data(sigma: Cone, tau: Cone):
-    """Data for e(sigma, tau): list of (piece multiplicity, dual forms).
+    """Data for e(sigma, tau): list of (scale, dual forms), one entry per
+    simplex P of sigma's triangulation that contains T.
 
     Not cached: cone equality ignores ray order, and the triangulation
     depends on it (the value does not, which the tests rely on).
 
-    Each entry corresponds to a maximal simplicial piece of the image of
-    sigma in the quotient by the span of tau; the dual forms are rational
-    characters in the ambient coordinates, each vanishing on tau.
+    The triangulation restricts to one of tau; T is the set of tau's rays in
+    the first simplex having dim(tau) of them.  Near a relative-interior
+    point of T, the simplices P containing T, taken modulo span(tau),
+    triangulate the image of sigma in N/N_tau.  So the forms of P are its
+    dual-basis characters at the rays outside T, each vanishing on tau, and
+    the scale is [N/N_tau : image of Z P] = mult(P)/mult(T).  For sigma =
+    tau, P = T and there are no forms.
     """
-    q = quotient_map(tau.sublattice)
-    image = star_image_cone(q, sigma)
-    if image.dim != q.quotient_rank:
-        raise ValueError("expected a full-dimensional image cone in the star")
-    mtau = tau.span_normals
+    if sigma.dim != sigma.ambient_rank:
+        raise ValueError("expected a full-dimensional cone")
+    pieces = triangulate(sigma)
+    on_tau = (tuple(r for r in piece.rays if r in tau.rays) for piece in pieces)
+    T = next(t for t in on_tau if len(t) == tau.dim)
+    mult_T = multiplicity(cone_from_rays(sigma.ambient_rank, T))
     out = []
-    for piece in triangulate(image):
-        lifts = [q.lift(w) for w in piece.rays]
-        pairing = [[dot(m, w) for w in lifts] for m in mtau]
-        inv = invert_rational(pairing)
-        if inv is None:
-            raise ValueError("degenerate dual-basis system in the star")
-        # the j-th dual form is sum_i inv[j][i] * mtau[i]
-        forms = []
-        for j in range(len(lifts)):
-            coeffs = [Fraction(0)] * sigma.ambient_rank
-            for i, m in enumerate(mtau):
-                for k in range(sigma.ambient_rank):
-                    coeffs[k] += inv[j][i] * m[k]
-            forms.append(tuple(coeffs))
-        out.append((multiplicity(piece), forms))
-    return tuple(out)
+    for piece in pieces:
+        if set(T).issubset(piece.rays):
+            forms = [f for r, f in zip(piece.rays, dual_basis(piece.rays)) if r not in T]
+            out.append((Fraction(multiplicity(piece), mult_T), forms))
+    return out
 
 
 def cone_equivariant_multiplicity(sigma: Cone, tau: Cone) -> LinearFraction:
@@ -125,11 +113,9 @@ def cone_equivariant_multiplicity(sigma: Cone, tau: Cone) -> LinearFraction:
     if not is_face(tau, sigma):
         raise ValueError("tau must be a face of sigma")
     n = sigma.ambient_rank
-    if sigma == tau:
-        return LinearFraction.from_polynomial(Polynomial.constant(n, 1))
     total = LinearFraction.zero(n)
-    for mult, forms in _star_multiplicity_data(sigma, tau):
-        total = total + LinearFraction.inverse_of_product(n, forms, scale=Fraction(mult))
+    for scale, forms in _star_multiplicity_data(sigma, tau):
+        total = total + LinearFraction.inverse_of_product(n, forms, scale=scale)
     return total
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 
 from .errors import (
     ConeNotInFan,
@@ -243,9 +244,10 @@ class Fan:
     certified displacement vector v with the candidate pairs decided for it
     so far, (v, {(tau, sigma1, sigma2): index or None}), which products and
     `weights.displacement_pairs` fill one pair at a time and a new vector
-    replaces; and `relation_normals(tau)`, the normal vectors that the
-    relations at tau pair characters with.  Smoothness and completeness are
-    decided once per fan too.
+    replaces; and `relation_normals(tau)`, for each cone one up from tau a
+    ray outside tau and the factor by which it overshoots the normal
+    generator, from which the relations at tau take their coefficients.
+    Smoothness and completeness are decided once per fan too.
     """
 
     def __init__(self, ambient_rank, cones, rays=None, validate=True):
@@ -373,21 +375,20 @@ class Fan:
 
     def relation_normals(self, tau: Cone) -> dict:
         """Each cone sigma of the fan one dimension up from tau, in fan
-        order, mapped to one lift to N of n_sigma/tau, the generator of
-        N_sigma/N_tau on sigma's side.
+        order, mapped to (r, k): r a ray of sigma outside tau, and k the gcd
+        of <m, r> over tau.span_normals, a lattice basis of perp(tau).
 
-        Only <m, n_sigma/tau> for m in perp(tau) enters the relations, and
-        it is the same for every lift.  A ray r of sigma not in tau maps to
-        k times the generator in N/N_tau, k the gcd of its image, so the
-        table lifts image/k.  Built on first use for each tau.
+        M meets perp(tau) in the dual lattice of N/N_tau, so r is k times
+        n_sigma/tau, the generator of N_sigma/N_tau on sigma's side, modulo
+        N_tau, and <m, n_sigma/tau> = <m, r> / k for m in perp(tau).  Built
+        on first use for each tau.
         """
         if tau not in self._relation_normals:
-            q = quotient_map(tau.sublattice)
             table = {}
             for sigma in self.cones_containing(tau):
                 if sigma.dim == tau.dim + 1:
                     r = next(r for r in sigma.rays if r not in tau.rays)
-                    table[sigma] = q.lift(primitive(q.project(r)))
+                    table[sigma] = (r, gcd(*(dot(m, r) for m in tau.span_normals)))
             self._relation_normals[tau] = table
         return self._relation_normals[tau]
 
@@ -482,13 +483,9 @@ def star_fan(tau: Cone, fan: Fan):
     """
     containing = fan.cones_containing(tau)
     q = quotient_map(tau.sublattice)
-    cones = [star_image_cone(q, sigma) for sigma in containing]
+    images = ([v for v in map(q.project, sigma.rays) if not is_zero(v)] for sigma in containing)
+    cones = [cone_from_rays(q.quotient_rank, rays) for rays in images]
     return Fan(q.quotient_rank, cones, validate=False), q
-
-
-def star_image_cone(q, sigma: Cone) -> Cone:
-    images = [q.project(r) for r in sigma.rays]
-    return cone_from_rays(q.quotient_rank, [v for v in images if not is_zero(v)])
 
 
 def multiplicity(sigma: Cone) -> int:

@@ -365,6 +365,15 @@ def invert_rational(A_rows):
     return [[Fraction(a, row[i]) for a in row[n:]] for i, row in enumerate(rows)]
 
 
+def dual_basis(rows) -> list:
+    """For a basis of Q^n given as rows, the rational vectors pairing to 1
+    with one row and to 0 with the others, in row order: the columns of the
+    inverse."""
+    inv = invert_rational(rows)
+    check_invariant(inv is not None, "dual basis of linearly dependent vectors")
+    return [tuple(row[j] for row in inv) for j in range(len(inv))]
+
+
 # ---------------------------------------------------------------------------
 # sublattices
 

@@ -296,12 +296,7 @@ class LinearFraction:
 
     __slots__ = ("num", "den", "content")
 
-    def __init__(self, num: Polynomial, den=None, content: int = 1, _canonical=False):
-        if _canonical:
-            self.num = num
-            self.den = den or {}
-            self.content = content
-            return
+    def __init__(self, num: Polynomial, den=None, content: int = 1):
         if content == 0:
             raise ZeroDivisionError("zero content")
         den = dict(den or {})
@@ -339,10 +334,6 @@ class LinearFraction:
     @classmethod
     def zero(cls, num_vars: int) -> "LinearFraction":
         return cls(Polynomial.zero(num_vars))
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "LinearFraction":
-        return cls(p)
 
     @classmethod
     def inverse_of_product(cls, num_vars: int, forms, scale=Fraction(1)) -> "LinearFraction":

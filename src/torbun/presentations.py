@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import ConeNotInFan, OracleRequiresSmoothComplete, check_invariant
 from .fans import Cone, Fan, is_complete
-from .lattice import Vec, dot, invert_rational
+from .lattice import Vec, dot, dual_basis
 from .weights import MinkowskiWeight, Relation, _assert_balanced, relation_at
 
 
@@ -91,12 +91,10 @@ def _require_oracle_fan(fan: Fan):
         )
 
 
-def _dual_character(fan: Fan, sigma_star: Cone, ray: Vec) -> Vec:
+def _dual_character(sigma_star: Cone, ray: Vec) -> Vec:
     """The character pairing to 1 with `ray` and to 0 with the other rays of
     the smooth maximal cone sigma_star."""
-    inv = invert_rational(sigma_star.rays)
-    j = sigma_star.rays.index(ray)
-    col = [inv[i][j] for i in range(len(inv))]
+    col = dual_basis(sigma_star.rays)[sigma_star.rays.index(ray)]
     check_invariant(all(c.denominator == 1 for c in col), "dual character of a smooth cone is not integral")
     return tuple(int(c) for c in col)
 
@@ -133,7 +131,7 @@ def reduce_product(fan: Fan, mixing: MixingMap, ray_indices, base: AlgebraElemen
         rest.remove(rep)
         rest = tuple(rest)
         sigma_star = next(s for s in fan.cones_containing(cone) if s.dim == fan.ambient_rank)
-        m = _dual_character(fan, sigma_star, fan.rays[rep])
+        m = _dual_character(sigma_star, fan.rays[rep])
         # D_rep = p*delta(m) - sum_{other rays} <m, u> D_other
         work.append((rest, coeff * mixing.delta(m)))
         for j, u in enumerate(fan.rays):

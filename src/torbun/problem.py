@@ -39,6 +39,10 @@ MAX_BASIS = 64
 # kernel for each choice of dim - 1 of its rays
 MAX_CONE_RAYS = 32
 
+# a file lists at most this many cones: validating a fan decides every pair
+# of its maximal cones, a cost quadratic in their number
+MAX_CONES = 256
+
 
 # ---------------------------------------------------------------------------
 # expression grammar: integers, names, + - * ^ and parentheses
@@ -478,6 +482,8 @@ def parse_problem(text: str, path: str = "<memory>") -> Problem:
         raise ProblemError(f"{path}: 'lattice_rank' must be nonnegative, got {rank}")
     rays = need("rays", list, "a list of integer vectors")
     cones = need("cones", list, "a list of ray-index lists")
+    if len(cones) > MAX_CONES:
+        raise ProblemError(f"{path}: the file lists {len(cones)} cones, more than {MAX_CONES}, the limit")
     for r in rays:
         if not (isinstance(r, list) and len(r) == rank and all(type(c) is int for c in r)):
             raise ProblemError(f"{path}: ray {r!r} must be a length-{rank} integer vector")

@@ -2,11 +2,13 @@
 
 A weight of codimension k assigns to each cone a class of the base ring,
 homogeneous of cohomological degree k - codim(cone), subject to the
-balancing condition.  The relation at (tau, m) pairs m in perp(tau) with
-one lift of each normal n_sigma/tau, from the table the fan keeps per face;
-on perp(tau) every lift gives the same coefficient.  Products sum over the
-cone pairs that still meet after a certified generic displacement, deciding
-only pairs where both weights are nonzero, each by one rational solve.
+balancing condition.  The relation at (tau, m) has the coefficient
+<m, r> / k at a cone sigma one up from tau, for the ray r of sigma outside
+tau and the gcd k the fan keeps with it per face: that is <m, n> for every
+lift n of the normal generator n_sigma/tau, and needs no quotient lattice.
+Products sum over the cone pairs that still meet after a certified generic
+displacement, deciding only pairs where both weights are nonzero, each by
+one rational solve.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
-from .errors import BalancingError, FanNotComplete, NonGenericVector
+from .errors import BalancingError, FanNotComplete, NonGenericVector, check_invariant
 from .fans import Cone, Fan, is_complete, is_generic_diagonal, sigma_v_set
 from .lattice import Sublattice, Vec, dot, lattice_index, solve_scaled
 
@@ -96,14 +98,17 @@ def relation_at(fan: Fan, mixing: MixingMap, tau: Cone, m) -> Relation:
     """The relation at (tau, m in perp(tau)): lhs {sigma: <m, n_sigma/tau>}
     over the cones one dimension up from tau, rhs delta(m).
 
-    The normals come from `fan.relation_normals(tau)`.  Raises ValueError
+    <m, n_sigma/tau> = <m, r> / k for the (r, k) of
+    `fan.relation_normals(tau)`; the division is exact since m is an integer
+    combination of the perp basis that k is a gcd over.  Raises ValueError
     when m is not in perp(tau), where the pairing would depend on the lift.
     """
     if any(dot(m, r) for r in tau.rays):
         raise ValueError(f"m={tuple(m)} is not in the perp of {tau}")
     lhs = {}
-    for sigma, n_st in fan.relation_normals(tau).items():
-        c = dot(m, n_st)
+    for sigma, (r, k) in fan.relation_normals(tau).items():
+        c, rest = divmod(dot(m, r), k)
+        check_invariant(rest == 0, f"<m, r> is not a multiple of {k} for m={tuple(m)}, r={r}")
         if c != 0:
             lhs[sigma] = c
     return Relation(tau=tau, m=m, lhs=lhs, rhs=mixing.delta(m))

@@ -70,6 +70,11 @@ def p1_cubed_fan(rays=P1_CUBED_RAYS):
     return tb.fan_from_ray_lists(3, rays, list(itertools.product((0, 1), (2, 3), (4, 5))))
 
 
+def p1_fourth_fan():
+    rays = [tuple(s * int(k == i) for k in range(4)) for i in range(4) for s in (1, -1)]
+    return tb.fan_from_ray_lists(4, rays, list(itertools.product((0, 1), (2, 3), (4, 5), (6, 7))))
+
+
 def projective_space_rays(n):
     return [tuple(int(k == i) for k in range(n)) for i in range(n)] + [(-1,) * n]
 

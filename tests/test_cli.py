@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import resource
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import torbun
 from torbun.cli import main
-from torbun.problem import MAX_BASIS, MAX_CONE_RAYS, _count_monomials, parse_problem
+from torbun.problem import MAX_BASIS, MAX_CONE_RAYS, MAX_CONES, _count_monomials, parse_problem
 
 from conftest import FIXTURES
 
@@ -701,19 +702,47 @@ def test_cone_with_many_rays_finishes(tmp_path, rays, want):
     # faces come from closing facet zero sets, not from all 2^k subsets of
     # the rays; facet normals still take one kernel per dim - 1 rays, so a
     # cone above the ray limit is refused before any fan is built
-    path = cone_file(tmp_path, rays)
-    src = str(Path(torbun.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-    done = subprocess.run(
-        [sys.executable, "-m", "torbun.cli", "check-fan", str(path)],
-        capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap,
-    )
+    done = check_fan_process(cone_file(tmp_path, rays))
     assert done.returncode == want
     assert "Traceback" not in done.stderr
     if want == 2:
         assert done.stdout == ""
         assert f"a cone lists {MAX_CONE_RAYS + 1} rays, more than {MAX_CONE_RAYS}, the limit" in done.stderr
+
+
+def check_fan_process(path):
+    """`check-fan` on the file in a new process under a 1 GiB address-space cap."""
+    src = str(Path(torbun.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    return subprocess.run(
+        [sys.executable, "-m", "torbun.cli", "check-fan", str(path)],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap,
+    )
+
+
+def polygon_fan_file(tmp_path, m):
+    """A problem file whose fan is the complete rank-2 fan on m primitive
+    vectors of a box, in angular order."""
+    box = [(a, b) for a in range(-12, 13) for b in range(-12, 13) if math.gcd(a, b) == 1]
+    box.sort(key=lambda r: math.atan2(r[1], r[0]))
+    rays = [box[len(box) * i // m] for i in range(m)]
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps({"lattice_rank": 2, "rays": rays, "cones": [[i, (i + 1) % m] for i in range(m)],
+                                "base_algebra": {"type": "point"}, "mixing": [[], []]}))
+    return path
+
+
+@pytest.mark.parametrize("m, want", [(MAX_CONES, 0), (MAX_CONES + 1, 2)], ids=["at-limit", "above-limit"])
+def test_fan_with_many_cones_finishes(tmp_path, m, want):
+    # validation decides every pair of maximal cones, so a file above the
+    # cone limit is refused before any fan is built
+    done = check_fan_process(polygon_fan_file(tmp_path, m))
+    assert done.returncode == want
+    assert "Traceback" not in done.stderr
+    if want == 2:
+        assert done.stdout == ""
+        assert f"the file lists {MAX_CONES + 1} cones, more than {MAX_CONES}, the limit" in done.stderr
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Equivariant multiplicities, residue sums, and the limit to weights."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,19 @@ import pytest
 
 import torbun as tb
 from torbun.equivariant import cone_equivariant_multiplicity
+from torbun.lattice import dot
 from torbun.polynomials import LinearFraction, Polynomial
+from torbun.problem import parse_problem
+
+from conftest import (
+    FIXTURES,
+    P1_CUBED_RAYS,
+    cube_fan,
+    p1_cubed_fan,
+    p1_fourth_fan,
+    projective_space_fan,
+    shear,
+)
 
 
 def x(i, n=2):
@@ -127,6 +140,65 @@ def test_subdivision_additivity_3d():
     for piece in tb.triangulate(square):
         total = total + cone_equivariant_multiplicity(piece, z)
     assert total == whole
+
+
+def star_route_multiplicity(sigma, tau):
+    """e(sigma, tau) in the quotient lattice, the oracle: triangulate the
+    image of sigma in N/N_tau, lift each simplex's rays to N, and invert
+    their pairing with the basis of perp(tau)."""
+    n = sigma.ambient_rank
+    if sigma == tau:
+        return LinearFraction(Polynomial.constant(n, 1))
+    q = tb.quotient_map(tau.sublattice)
+    image = tb.cone_from_rays(q.quotient_rank, [v for v in map(q.project, sigma.rays) if any(v)])
+    assert image.dim == q.quotient_rank
+    mtau = tau.span_normals
+    total = LinearFraction.zero(n)
+    for piece in tb.triangulate(image):
+        lifts = [q.lift(w) for w in piece.rays]
+        inv = tb.lattice.invert_rational([[dot(m, w) for w in lifts] for m in mtau])
+        # the j-th dual form is sum_i inv[j][i] * mtau[i]
+        forms = [tuple(sum(inv[j][i] * m[k] for i, m in enumerate(mtau)) for k in range(n)) for j in range(len(lifts))]
+        total = total + LinearFraction.inverse_of_product(n, forms, scale=Fraction(tb.multiplicity(piece)))
+    return total
+
+
+def seeded_full_cones(rng):
+    """Seeded full-dimensional cones of ranks 2 to 4, most of them singular
+    and not simplicial: cones over k-gons (1, t, t^2) and over polytopes on
+    random points of {1} x {-1, 0, 1}^3."""
+    cones = []
+    for rank, ks in ((2, (2, 2)), (3, (4, 5, 6)), (4, (5, 6, 7))):
+        for k in ks:
+            if rank == 4:
+                rays = [(1,) + p for p in rng.sample(list(itertools.product((-1, 0, 1), repeat=3)), k)]
+            else:
+                rays = [tuple(t**e for e in range(rank)) for t in rng.sample(range(-4, 5), k)]
+            cone = tb.cone_from_rays(rank, rays)
+            if cone.dim == rank:
+                cones.append(cone)
+    return cones
+
+
+def test_multiplicities_match_star_route():
+    # the triangulation of sigma in N and the one of its image in the star
+    # of tau differ, but a LinearFraction is canonical, so the values agree
+    fans = [parse_problem(path.read_text()).fan for path in sorted(FIXTURES.glob("*.json"))]
+    fans += [p1_cubed_fan(shear(P1_CUBED_RAYS, i, j, s)) for i, j in itertools.permutations(range(3), 2) for s in (1, -1)]
+    fans += [cube_fan(), cube_fan(1), projective_space_fan(4), p1_fourth_fan()]
+    cones = [c for fan in fans for c in fan.maximal_cones if c.dim == fan.ambient_rank]
+    rng = random.Random(7)
+    for cone in seeded_full_cones(rng):
+        rays = list(cone.rays)
+        rng.shuffle(rays)
+        cones += [cone, tb.cone_from_rays(cone.ambient_rank, rays)]
+    shapes = set()
+    for sigma in cones:
+        for tau in tb.faces_of(sigma):
+            assert cone_equivariant_multiplicity(sigma, tau) == star_route_multiplicity(sigma, tau), (sigma, tau)
+            shapes.add((sigma.ambient_rank, sigma.is_simplicial, tau.is_simplicial))
+    # non-simplicial cones along simplicial and non-simplicial faces
+    assert {(3, False, True), (3, False, False), (4, False, True), (4, False, False)} <= shapes, shapes
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from conftest import (
     P1_CUBED_RAYS,
     cube_fan,
     p1_cubed_fan,
+    p1_fourth_fan,
     projective_space_fan,
     projective_space_rays,
     shear,
@@ -368,11 +369,6 @@ def test_cold_sheared_p1_cubed_build_work_counts(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # faces built from their maximal cones
-
-
-def p1_fourth_fan():
-    rays = [tuple(s * int(k == i) for k in range(4)) for i in range(4) for s in (1, -1)]
-    return tb.fan_from_ray_lists(4, rays, list(itertools.product((0, 1), (2, 3), (4, 5), (6, 7))))
 
 
 def test_faces_match_cone_from_rays():

@@ -131,28 +131,37 @@ def test_relation_coefficients_match_normal_generator():
 
 
 def test_library_paths_skip_the_canonical_lift(monkeypatch):
+    # relation coefficients and equivariant multiplicities are taken in N:
+    # neither the minimal-norm lift search nor a quotient map runs
     def forbidden(x0, tau_basis):
         raise AssertionError("the minimal-norm lift search ran")
 
+    def no_quotient(self):
+        raise AssertionError("a quotient map was built")
+
     monkeypatch.setattr(tb.lattice, "_min_norm_rep", forbidden)
-    p1 = tb.projective_space_algebra(1, "h")
-    h = p1.basis_element("h")
-    p4 = projective_space_fan(4)
-    mix4 = tb.MixingMap(p1, [h, p1.zero(), -h, h])
-    tb.homology_presentation(p4, mix4)
-    W = tb.poincare_dual_mw(p4, mix4, [0, 1])
-    assert tb.check_balancing(W).ok
-    cube = cube_fan()
-    mix3 = tb.MixingMap(p1, [h, p1.zero(), -h])
-    tb.homology_presentation(cube, mix3)
-    # the value <(0,1,-1), ray> + 2: on the cone over the face x_i = s it is
-    # <(0,1,-1) + 2 s e_i, x>
-    pieces = {}
-    for i, s in itertools.product(range(3), (1, -1)):
-        sigma = next(c for c in cube.maximal_cones if all(r[i] == s for r in c.rays))
-        pieces[sigma] = tb.Polynomial.linear_form([(0, 1, -1)[k] + 2 * s * (k == i) for k in range(3)])
-    f = tb.PiecewisePolynomial(cube, 1, pieces)
-    assert tb.check_balancing(tb.pp_to_mw(f, mix3)).ok
+    with monkeypatch.context() as patch:
+        patch.setattr(tb.lattice.QuotientMap, "__post_init__", no_quotient)
+        p1 = tb.projective_space_algebra(1, "h")
+        h = p1.basis_element("h")
+        p4 = projective_space_fan(4)
+        mix4 = tb.MixingMap(p1, [h, p1.zero(), -h, h])
+        tb.homology_presentation(p4, mix4)
+        W = tb.poincare_dual_mw(p4, mix4, [0, 1])
+        assert tb.check_balancing(W).ok
+        cube = cube_fan()
+        mix3 = tb.MixingMap(p1, [h, p1.zero(), -h])
+        tb.homology_presentation(cube, mix3)
+        # the value <(0,1,-1), ray> + 2: on the cone over the face x_i = s it is
+        # <(0,1,-1) + 2 s e_i, x>
+        pieces = {}
+        for i, s in itertools.product(range(3), (1, -1)):
+            sigma = next(c for c in cube.maximal_cones if all(r[i] == s for r in c.rays))
+            pieces[sigma] = tb.Polynomial.linear_form([(0, 1, -1)[k] + 2 * s * (k == i) for k in range(3)])
+        f = tb.PiecewisePolynomial(cube, 1, pieces)
+        assert tb.check_balancing(tb.pp_to_mw(f, mix3)).ok
+        with pytest.raises(AssertionError, match="quotient map"):
+            tb.star_fan(cube.zero_cone(), cube)
     with pytest.raises(AssertionError, match="lift search"):
         tb.normal_generator(tb.zero_sublattice(2), tb.Sublattice(2, ((1, 0),)), (1, 0))
 
