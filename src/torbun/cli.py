@@ -5,8 +5,8 @@
 
 Every command reads one problem file, prints a deterministic result
 document (table or JSON), and exits 0 on success, 2 on validation
-failure, 3 on a mathematical assertion failure, 4 when no generic
-displacement vector could be certified.
+failure, 3 on a mathematical assertion failure or an internal error, 4
+when no generic displacement vector could be certified.
 """
 
 from __future__ import annotations
@@ -413,6 +413,9 @@ def main(argv=None) -> int:
     except (ProblemError, TorbunError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:  # a bug in torbun: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_MATH
     print_document(doc, args.format)
     return code
 

@@ -5,21 +5,30 @@ read off one triangulation of sigma in N: the simplices containing a fixed
 top simplex T of tau's part of it, taken modulo span(tau), triangulate the
 image of sigma in the star of tau.  Each such simplex P adds the reciprocal
 of mult(P)/mult(T) times the product of its dual-basis characters at the
-rays outside T.  Residue sums of a compatible piecewise polynomial are
-always genuine polynomials; their images under the twisting map assemble
-into a balanced Minkowski weight.
+rays outside T.
+
+Residue sums of a compatible piecewise polynomial are always genuine
+polynomials; their images under the twisting map assemble into a balanced
+Minkowski weight.  They are taken over one denominator per face: the fan
+keeps, for every cone tau, D_tau, each linear form at its highest power
+over the e(sigma, tau) with the lcm of their contents, and the polynomials
+N_sigma = D_tau * e(sigma, tau), built once from one triangulation of each
+maximal cone.  A residue sum is then one polynomial, sum of f_sigma *
+N_sigma, divided exactly by D_tau; `cone_equivariant_multiplicity` keeps
+the per-call route.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .algebra import MixingMap
-from .errors import FanNotComplete, ResidueNotPolynomial, check_invariant
-from .fans import Cone, Fan, cone_from_rays, is_complete, is_face, multiplicity, triangulate
+from .errors import ConeNotInFan, FanNotComplete, ResidueNotPolynomial, check_invariant
+from .fans import Cone, Fan, is_complete, is_face, multiplicity, simplex_multiplicity, triangulate
 from .lattice import dual_basis
-from .polynomials import LinearFraction, Polynomial
+from .polynomials import LinearFraction, Polynomial, _primitive_form, divide_exact
 from .weights import MinkowskiWeight, _assert_balanced
 
 
@@ -79,44 +88,55 @@ def check_pp(f: PiecewisePolynomial):
     return violations
 
 
-def _star_multiplicity_data(sigma: Cone, tau: Cone):
-    """Data for e(sigma, tau): list of (scale, dual forms), one entry per
-    simplex P of sigma's triangulation that contains T.
+def _simplices(sigma: Cone):
+    """sigma's triangulation: per simplex its rays, its multiplicity, and
+    its dual basis in _primitive_form, as (factor, form) per ray.
 
-    Not cached: cone equality ignores ray order, and the triangulation
-    depends on it (the value does not, which the tests rely on).
+    Not cached on the cone: cone equality ignores ray order, and the
+    triangulation depends on it (e(sigma, tau) does not, which the tests
+    rely on).
+    """
+    if sigma.dim != sigma.ambient_rank:
+        raise ValueError("expected a full-dimensional cone")
+    return [
+        (piece.rays, multiplicity(piece), [_primitive_form(u) for u in dual_basis(piece.rays)])
+        for piece in triangulate(sigma)
+    ]
+
+
+def _multiplicity(simplices, tau: Cone) -> LinearFraction:
+    """e(sigma, tau) from sigma's _simplices.
 
     The triangulation restricts to one of tau; T is the set of tau's rays in
     the first simplex having dim(tau) of them.  Near a relative-interior
     point of T, the simplices P containing T, taken modulo span(tau),
-    triangulate the image of sigma in N/N_tau.  So the forms of P are its
-    dual-basis characters at the rays outside T, each vanishing on tau, and
-    the scale is [N/N_tau : image of Z P] = mult(P)/mult(T).  For sigma =
-    tau, P = T and there are no forms.
+    triangulate the image of sigma in N/N_tau.  So P adds the reciprocal of
+    its scale [N/N_tau : image of Z P] = mult(P)/mult(T) times its dual-basis
+    characters at the rays outside T, each vanishing on tau.  For sigma =
+    tau, P = T and there are no characters.
     """
-    if sigma.dim != sigma.ambient_rank:
-        raise ValueError("expected a full-dimensional cone")
-    pieces = triangulate(sigma)
-    on_tau = (tuple(r for r in piece.rays if r in tau.rays) for piece in pieces)
+    on_tau = (tuple(r for r in rays if r in tau.rays) for rays, _, _ in simplices)
     T = next(t for t in on_tau if len(t) == tau.dim)
-    mult_T = multiplicity(cone_from_rays(sigma.ambient_rank, T))
-    out = []
-    for piece in pieces:
-        if set(T).issubset(piece.rays):
-            forms = [f for r, f in zip(piece.rays, dual_basis(piece.rays)) if r not in T]
-            out.append((Fraction(multiplicity(piece), mult_T), forms))
-    return out
+    mult_T = simplex_multiplicity(T)
+    total = None
+    for rays, mult, duals in simplices:
+        if set(T).issubset(rays):
+            scale, prims = Fraction(mult, mult_T), []
+            for r, (factor, prim) in zip(rays, duals):
+                if r not in T:
+                    scale *= factor
+                    prims.append(prim)
+            term = LinearFraction.inverse_of_primitive(tau.ambient_rank, prims, scale)
+            total = term if total is None else total + term
+    return total
 
 
 def cone_equivariant_multiplicity(sigma: Cone, tau: Cone) -> LinearFraction:
-    """Equivariant multiplicity of a full-dimensional cone along a face."""
+    """Equivariant multiplicity of a full-dimensional cone along a face,
+    from a fresh triangulation of sigma."""
     if not is_face(tau, sigma):
         raise ValueError("tau must be a face of sigma")
-    n = sigma.ambient_rank
-    total = LinearFraction.zero(n)
-    for scale, forms in _star_multiplicity_data(sigma, tau):
-        total = total + LinearFraction.inverse_of_product(n, forms, scale=scale)
-    return total
+    return _multiplicity(_simplices(sigma), tau)
 
 
 def equivariant_multiplicity(fan: Fan, sigma: Cone, tau: Cone) -> LinearFraction:
@@ -128,28 +148,73 @@ def equivariant_multiplicity(fan: Fan, sigma: Cone, tau: Cone) -> LinearFraction
     return cone_equivariant_multiplicity(sigma, tau)
 
 
+def _residue_table(fan: Fan, tau: Cone):
+    """tau's entry of fan.residue_tables, which is built on first use for
+    every cone of the (complete) fan at once, triangulating each maximal
+    cone once for all its faces.
+
+    An entry is (den, content, numerators): D_tau = content * prod form^k
+    over den = {form: k}, every form at its highest power over the
+    e(sigma, tau), and content the lcm of their contents; numerators lists
+    (sigma, D_tau * e(sigma, tau)) for the maximal cones sigma containing
+    tau, in fan order.
+    """
+    tables = fan.residue_tables
+    if not tables:
+        simplices = {sigma: _simplices(sigma) for sigma in fan.maximal_cones}
+        for t in fan.cones:
+            es = [(s, _multiplicity(simplices[s], t)) for s in fan.cones_containing(t) if s in simplices]
+            den, content = {}, 1
+            for _, e in es:
+                for form, k in e.den.items():
+                    den[form] = max(den.get(form, 0), k)
+                content = lcm(content, e.content)
+            numerators = []
+            for sigma, e in es:
+                N = e.num * (content // e.content)
+                for form, k in den.items():
+                    if k > e.den.get(form, 0):
+                        N = N * Polynomial.linear_form(form) ** (k - e.den.get(form, 0))
+                numerators.append((sigma, N))
+            tables[t] = (den, content, numerators)
+    if tau not in tables:
+        raise ConeNotInFan(f"{tau} not in fan")
+    return tables[tau]
+
+
+def _exact_quotient(total: Polynomial, den: dict, content: int):
+    """total / (content * prod form^k over den) as a polynomial, or None
+    when it is not one: divided one form at a time, then by the content."""
+    for form, k in den.items():
+        for _ in range(k):
+            total = divide_exact(total, form)
+            if total is None:
+                return None
+    if any(c % content for c in total.terms.values()):
+        return None
+    return Polynomial(total.num_vars, {e: c // content for e, c in total.terms.items()})
+
+
 def residue_sum(f: PiecewisePolynomial, tau: Cone) -> Polynomial:
-    """Sum of piece * multiplicity over maximal cones containing tau.
+    """Sum of piece * multiplicity over maximal cones containing tau: the
+    sum of piece * N_sigma over tau's residue table, divided by D_tau.
 
     The rational-function sum always collapses to a polynomial; a failure to
     do so signals an implementation bug or bad input and raises."""
     fan = f.fan
     if not is_complete(fan):
         raise FanNotComplete("residue sums need a complete fan")
-    total = LinearFraction.zero(fan.ambient_rank)
-    for sigma in fan.cones_containing(tau):
-        if sigma not in f.pieces:  # only maximal cones carry pieces
-            continue
+    den, content, numerators = _residue_table(fan, tau)
+    total = Polynomial.zero(fan.ambient_rank)
+    for sigma, N in numerators:
         piece = f.pieces[sigma]
-        if piece.is_zero():
-            continue
-        e = cone_equivariant_multiplicity(sigma, tau)
-        total = total + e.poly_mul(piece)
-    if not total.is_polynomial():
+        if not piece.is_zero():
+            total = total + piece * N
+    out = _exact_quotient(total, den, content)
+    if out is None:
         raise ResidueNotPolynomial(
-            f"residue at {fan.cone_key(tau)} is {total.render()}"
+            f"residue at {fan.cone_key(tau)} is {LinearFraction(total, den, content).render()}"
         )
-    out = total.as_polynomial()
     want = f.degree - fan.codim(tau)
     if want < 0:
         check_invariant(out.is_zero(), f"residue at {fan.cone_key(tau)} is nonzero below degree 0")

@@ -246,7 +246,11 @@ class Fan:
     `weights.displacement_pairs` fill one pair at a time and a new vector
     replaces; and `relation_normals(tau)`, for each cone one up from tau a
     ray outside tau and the factor by which it overshoots the normal
-    generator, from which the relations at tau take their coefficients.
+    generator, from which the relations at tau take their coefficients; and
+    `residue_tables`, empty until the first residue sum, then for every cone
+    tau the common denominator D_tau of the multiplicities e(sigma, tau) and
+    the numerators D_tau * e(sigma, tau), which `equivariant.residue_sum`
+    fills for all cones at once.
     Smoothness and completeness are decided once per fan too.
     """
 
@@ -280,6 +284,7 @@ class Fan:
         self._by_key = {self.cone_key(c): c for c in self.cones}
         self.maximal_cones = [c for c in self.cones if self._containing[c] == [c]]
         self.displacement_table = None
+        self.residue_tables = {}
         self._relation_normals = {}
         if validate:
             self._validate()
@@ -492,9 +497,15 @@ def multiplicity(sigma: Cone) -> int:
     """Index of the span of the primitive rays inside the cone's lattice."""
     if not sigma.is_simplicial:
         raise NotSimplicial("multiplicity needs a simplicial cone")
-    if sigma.is_zero:
+    return simplex_multiplicity(sigma.rays)
+
+
+def simplex_multiplicity(rays) -> int:
+    """Index of the span of linearly independent primitive rays inside
+    their saturation: the multiplicity of the simplicial cone on them."""
+    if not rays:
         return 1
-    r = snf(sigma.rays)
+    r = snf(rays)
     out = 1
     for d in r.diagonal[: r.rank]:
         out *= d

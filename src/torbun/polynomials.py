@@ -338,14 +338,21 @@ class LinearFraction:
     @classmethod
     def inverse_of_product(cls, num_vars: int, forms, scale=Fraction(1)) -> "LinearFraction":
         """1 / (scale * prod(forms)) with rational coefficient vectors."""
-        content = Fraction(scale)
-        den: dict[tuple, int] = {}
+        scale = Fraction(scale)
+        prims = []
         for coeffs in forms:
             factor, prim = _primitive_form(coeffs)
-            content *= factor
+            scale *= factor
+            prims.append(prim)
+        return cls.inverse_of_primitive(num_vars, prims, scale)
+
+    @classmethod
+    def inverse_of_primitive(cls, num_vars: int, prims, scale: Fraction) -> "LinearFraction":
+        """1 / (scale * prod(prims)) for forms already in _primitive_form."""
+        den: dict[tuple, int] = {}
+        for prim in prims:
             den[prim] = den.get(prim, 0) + 1
-        num = Polynomial.constant(num_vars, content.denominator)
-        return cls(num, den, content.numerator)
+        return cls(Polynomial.constant(num_vars, scale.denominator), den, scale.numerator)
 
     # -- queries -------------------------------------------------------------
 

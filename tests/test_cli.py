@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -189,6 +190,26 @@ def test_residue_single_cone(capsys):
     code, doc = run_json(capsys, "residue", F1_PIECEWISE, "--tau", "[1]")
     assert code == 0
     assert doc["outputs"] == {"[1]": "-x1 - x2"}
+
+
+def test_residue_not_polynomial_exit_3(capsys, tmp_path):
+    # a piece that disagrees with its neighbours leaves a denominator; the
+    # whole document, message included, is pinned
+    data = json.loads(open(F1_PIECEWISE).read())
+    data["piecewise"]["pieces"]["[0,1]"] = "x1^2+x2^2"
+    path = tmp_path / "incompatible.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "residue", str(path))
+    assert code == 3
+    assert out == (
+        "command: residue\n"
+        "error.kind: assertion\n"
+        "error.message: residue at () is (x1^2 - x1*x2 + x2^2) / (x2 * (x1 - x2))\n"
+        "flags.format: table\n"
+        "flags.seed: 0\n"
+        f"input.path: {path}\n"
+        f"input.sha256: {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+    )
 
 
 def test_pp_to_mw_command(capsys):
@@ -758,6 +779,17 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
     assert main(["check-fan", F1_BUNDLE]) == 3
     assert "Smith normal form" in capsys.readouterr().out
     torbun.lattice._snf_cached.cache_clear()
+
+
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
+    def broken(problem, args, doc, rng):
+        raise RuntimeError("boom\n  on two lines")
+
+    monkeypatch.setitem(torbun.cli.COMMANDS, "check-fan", broken)
+    assert main(["check-fan", F1_BUNDLE]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom on two lines\n"
 
 
 README_COMMANDS = [

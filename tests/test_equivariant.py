@@ -1,6 +1,7 @@
 """Equivariant multiplicities, residue sums, and the limit to weights."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from torbun.polynomials import LinearFraction, Polynomial
 from torbun.problem import parse_problem
 
 from conftest import (
+    F1_MAX_CONES,
+    F1_RAYS,
     FIXTURES,
     P1_CUBED_RAYS,
     cube_fan,
@@ -142,6 +145,14 @@ def test_subdivision_additivity_3d():
     assert total == whole
 
 
+def fixture_and_ladder_fans():
+    """Each fixture's fan once, the 12 shears of (P^1)^3, both cube fans,
+    P^4 and (P^1)^4."""
+    fans = list(dict.fromkeys(parse_problem(path.read_text()).fan for path in sorted(FIXTURES.glob("*.json"))))
+    fans += [p1_cubed_fan(shear(P1_CUBED_RAYS, i, j, s)) for i, j in itertools.permutations(range(3), 2) for s in (1, -1)]
+    return fans + [cube_fan(), cube_fan(1), projective_space_fan(4), p1_fourth_fan()]
+
+
 def star_route_multiplicity(sigma, tau):
     """e(sigma, tau) in the quotient lattice, the oracle: triangulate the
     image of sigma in N/N_tau, lift each simplex's rays to N, and invert
@@ -183,10 +194,7 @@ def seeded_full_cones(rng):
 def test_multiplicities_match_star_route():
     # the triangulation of sigma in N and the one of its image in the star
     # of tau differ, but a LinearFraction is canonical, so the values agree
-    fans = [parse_problem(path.read_text()).fan for path in sorted(FIXTURES.glob("*.json"))]
-    fans += [p1_cubed_fan(shear(P1_CUBED_RAYS, i, j, s)) for i, j in itertools.permutations(range(3), 2) for s in (1, -1)]
-    fans += [cube_fan(), cube_fan(1), projective_space_fan(4), p1_fourth_fan()]
-    cones = [c for fan in fans for c in fan.maximal_cones if c.dim == fan.ambient_rank]
+    cones = [c for fan in fixture_and_ladder_fans() for c in fan.maximal_cones if c.dim == fan.ambient_rank]
     rng = random.Random(7)
     for cone in seeded_full_cones(rng):
         rays = list(cone.rays)
@@ -231,25 +239,36 @@ def test_residue_degree_bookkeeping(f1_fan, f1_pp):
             assert r.is_homogeneous_of(want)
 
 
-def _courant(fan, ray_index):
-    """Piecewise linear function equal to 1 on one ray and 0 on the others."""
-    pieces = {}
+def pl_function(fan, values):
+    """The piecewise linear function taking these values on the fan's rays,
+    times the least positive integer making every piece integral; None when
+    no linear function on some maximal cone takes them."""
+    value = dict(zip(fan.rays, values))
+    forms = {}
     for sigma in fan.maximal_cones:
-        if fan.rays[ray_index] in sigma.rays:
-            mat = [[Fraction(c) for c in r] for r in sigma.rays]
-            inv = tb.lattice.invert_rational(mat)
-            j = sigma.rays.index(fan.rays[ray_index])
-            coeffs = [inv[i][j] for i in range(len(inv))]
-            pieces[sigma] = Polynomial.linear_form([int(c) for c in coeffs])
-        else:
-            pieces[sigma] = Polynomial.zero(fan.ambient_rank)
+        basis = tb.triangulate(sigma)[0].rays  # sigma is full-dimensional
+        inv = tb.lattice.invert_rational([[Fraction(c) for c in r] for r in basis])
+        form = [sum(a * value[r] for a, r in zip(row, basis)) for row in inv]
+        if any(dot(form, r) != value[r] for r in sigma.rays):
+            return None
+        forms[sigma] = form
+    scale = math.lcm(*(c.denominator for form in forms.values() for c in form))
+    pieces = {sigma: Polynomial.linear_form([int(c * scale) for c in form]) for sigma, form in forms.items()}
     return tb.PiecewisePolynomial(fan, 1, pieces)
+
+
+def _courant(fan, ray_index):
+    """Piecewise linear function equal to 1 on one ray and 0 on the others
+    (scaled to integral pieces), or None."""
+    return pl_function(fan, [int(i == ray_index) for i in range(len(fan.rays))])
 
 
 def random_compatible_pp(fan, rng, degree):
     """Random integer combination of products of ray support functions and
     global linear forms, homogeneous of the given degree."""
     courants = [_courant(fan, i) for i in range(len(fan.rays))]
+    if None in courants:  # the cube fans: linear functions and this one span them
+        courants = [pl_function(fan, [1] * len(fan.rays))]
     globals_ = [
         tb.PiecewisePolynomial(
             fan, 1, {c: Polynomial.variable(fan.ambient_rank, i) for c in fan.maximal_cones}
@@ -293,6 +312,34 @@ def test_residue_not_polynomial_on_incompatible_input(f1_fan):
         tb.residue_sum(bad, tau3)
 
 
+def test_residue_not_polynomial_message(f1_fan):
+    # the message renders the reduced fraction, as `torbun residue` prints it
+    s12 = f1_fan.cone_by_ray_indices([0, 1])
+    s23 = f1_fan.cone_by_ray_indices([1, 2])
+    bad = tb.PiecewisePolynomial(f1_fan, 2, {s12: x(0) * x(0) + x(1) * x(1), s23: x(0) * x(0)})
+    with pytest.raises(tb.ResidueNotPolynomial) as info:
+        tb.residue_sum(bad, f1_fan.zero_cone())
+    assert str(info.value) == "residue at () is (x1^2 - x1*x2 + x2^2) / (x2 * (x1 - x2))"
+
+
+def test_residue_content_that_does_not_divide():
+    # every e(sigma, tau) has content 1: the dual characters of a simplex
+    # have orders whose product is a multiple of its index.  So only a
+    # hand-made table, here D_() doubled, reaches the last division
+    fan = tb.fan_from_ray_lists(2, F1_RAYS, F1_MAX_CONES)
+    f = tb.PiecewisePolynomial(
+        fan, 2, {fan.cone_by_ray_indices([0, 1]): x(1) * x(1), fan.cone_by_ray_indices([1, 2]): x(0) * x(0)}
+    )
+    z = fan.zero_cone()
+    assert tb.residue_sum(f, z) == Polynomial.constant(2, -1)
+    den, content, numerators = fan.residue_tables[z]
+    assert content == 1
+    fan.residue_tables[z] = (den, 2, numerators)
+    with pytest.raises(tb.ResidueNotPolynomial) as info:
+        tb.residue_sum(f, z)
+    assert str(info.value) == "residue at () is -1 / 2"
+
+
 def test_residue_polynomial_on_random_compatible(f1_fan):
     rng = random.Random(99)
     for _ in range(50):
@@ -300,6 +347,45 @@ def test_residue_polynomial_on_random_compatible(f1_fan):
         assert tb.check_pp(f) == []
         for cone in f1_fan.cones:
             tb.residue_sum(f, cone)  # must not raise
+
+
+def fraction_residue_sum(f, tau, mult):
+    """The residue sum fraction by fraction, the oracle: each piece times
+    e(sigma, tau), added up as LinearFractions; `mult` maps (sigma, tau) to
+    cone_equivariant_multiplicity(sigma, tau)."""
+    fan = f.fan
+    total = LinearFraction.zero(fan.ambient_rank)
+    for sigma in fan.cones_containing(tau):
+        if sigma in f.pieces and not f.pieces[sigma].is_zero():
+            total = total + mult[sigma, tau].poly_mul(f.pieces[sigma])
+    return total
+
+
+def test_residue_sums_match_fraction_sums():
+    # the one-denominator route against the fraction-by-fraction sum at every
+    # cone, and every residue table entry N_sigma / D_tau against the
+    # per-call multiplicity
+    rng = random.Random(13)
+    for fan in filter(tb.is_complete, fixture_and_ladder_fans()):
+        maxes = set(fan.maximal_cones)
+        mult = {
+            (sigma, tau): cone_equivariant_multiplicity(sigma, tau)
+            for tau in fan.cones
+            for sigma in fan.cones_containing(tau)
+            if sigma in maxes
+        }
+        for degree in range(4) if fan.ambient_rank else (0,):
+            f = random_compatible_pp(fan, rng, degree)
+            assert tb.check_pp(f) == []
+            for tau in fan.cones:
+                want = fraction_residue_sum(f, tau, mult)
+                assert want.is_polynomial(), (fan, tau)
+                assert tb.residue_sum(f, tau) == want.as_polynomial(), (fan, degree, tau)
+        assert set(fan.residue_tables) == set(fan.cones)
+        for tau, (den, content, numerators) in fan.residue_tables.items():
+            assert [sigma for sigma, _ in numerators] == [s for s in fan.cones_containing(tau) if s in maxes]
+            for sigma, N in numerators:
+                assert LinearFraction(N, den, content) == mult[sigma, tau], (fan, sigma, tau)
 
 
 # ---------------------------------------------------------------------------

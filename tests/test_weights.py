@@ -1,11 +1,13 @@
 """Minkowski weights: balancing, module action, displacement products."""
 
+import gc
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -522,3 +524,35 @@ print(sorted(m for m in sys.modules if "polyhedr" in m or "fm_oracle" in m or "f
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert not hasattr(tb, "Polyhedron") and not hasattr(tb.fans, "cone_shift_intersect")
+
+
+def test_residue_table_work_counts_and_lifetime(monkeypatch):
+    # work counts, not wall time: the residue tables live on the fan, so a
+    # second pp_to_mw triangulates no cone; and they die with the fan
+    counts = {"triangulations": 0}
+
+    def counted_triangulate(sigma):
+        counts["triangulations"] += 1
+        return tb.triangulate(sigma)
+
+    monkeypatch.setattr(tb.equivariant, "triangulate", counted_triangulate)
+    fan = cube_fan()
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    mix = tb.MixingMap(p1, [h, p1.zero(), -h])
+    # 1 on every ray: s * x_k on the cone over the face x_k = s of the cube
+    pieces = {}
+    for sigma in fan.maximal_cones:
+        k, s = next((k, s) for k in range(3) for s in (1, -1) if all(r[k] == s for r in sigma.rays))
+        pieces[sigma] = tb.Polynomial.linear_form([s * int(i == k) for i in range(3)])
+    f = tb.PiecewisePolynomial(fan, 1, pieces)
+    first = tb.pp_to_mw(f * f, mix)
+    assert counts["triangulations"] == len(fan.maximal_cones)
+    counts["triangulations"] = 0
+    assert tb.pp_to_mw(f * f, mix) == first
+    assert tb.pp_to_mw(f, mix).codim == 1
+    assert counts == {"triangulations": 0}
+    ref = weakref.ref(fan)
+    del fan, f, first, pieces, sigma
+    gc.collect()
+    assert ref() is None
