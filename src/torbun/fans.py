@@ -244,13 +244,17 @@ class Fan:
     certified displacement vector v with the candidate pairs decided for it
     so far, (v, {(tau, sigma1, sigma2): index or None}), which products and
     `weights.displacement_pairs` fill one pair at a time and a new vector
-    replaces; and `relation_normals(tau)`, for each cone one up from tau a
-    ray outside tau and the factor by which it overshoots the normal
-    generator, from which the relations at tau take their coefficients; and
-    `residue_tables`, empty until the first residue sum, then for every cone
-    tau the common denominator D_tau of the multiplicities e(sigma, tau) and
-    the numerators D_tau * e(sigma, tau), which `equivariant.residue_sum`
-    fills for all cones at once.
+    replaces; `relation_normals(tau)`, for each cone one up from tau a ray
+    outside tau and the factor by which it overshoots the normal generator,
+    from which the relations at tau take their coefficients;
+    `relation_rows`, the last mixing map with the relations it gives,
+    (mixing, {tau: the relations at (tau, m) for m in tau.span_normals}),
+    which `weights.relation_rows` builds for every cone at once and a mixing
+    map unequal in value replaces, and which balancing and the presentations
+    read; and `residue_tables`, empty until the first residue sum, then for
+    every cone tau the common denominator D_tau of the multiplicities
+    e(sigma, tau) and the numerators D_tau * e(sigma, tau), which
+    `equivariant.residue_sum` fills for all cones at once.
     Smoothness and completeness are decided once per fan too.
     """
 
@@ -284,6 +288,7 @@ class Fan:
         self._by_key = {self.cone_key(c): c for c in self.cones}
         self.maximal_cones = [c for c in self.cones if self._containing[c] == [c]]
         self.displacement_table = None
+        self.relation_rows = None
         self.residue_tables = {}
         self._relation_normals = {}
         if validate:

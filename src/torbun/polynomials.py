@@ -299,14 +299,14 @@ class LinearFraction:
     def __init__(self, num: Polynomial, den=None, content: int = 1):
         if content == 0:
             raise ZeroDivisionError("zero content")
-        den = dict(den or {})
+        den = {form: mult for form, mult in (den or {}).items() if mult}
         if content < 0:
             num = -num
             content = -content
         if num.is_zero():
             self.num, self.den, self.content = num, {}, 1
             return
-        changed = True
+        changed = num.degree() > 0  # no primitive linear form divides a nonzero constant
         while changed:
             changed = False
             for form, mult in list(den.items()):

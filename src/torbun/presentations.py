@@ -15,7 +15,7 @@ from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import ConeNotInFan, OracleRequiresSmoothComplete, check_invariant
 from .fans import Cone, Fan, is_complete
 from .lattice import Vec, dot, dual_basis
-from .weights import MinkowskiWeight, Relation, _assert_balanced, relation_at
+from .weights import MinkowskiWeight, Relation, _assert_balanced, relation_rows
 
 
 @dataclass
@@ -25,14 +25,15 @@ class Presentation:
 
 
 def _presentation(fan: Fan, mixing: MixingMap, equivariant: bool) -> Presentation:
+    """The fan's relation rows in fan order, each copied into a fresh Relation
+    so that no caller can change the shared rows."""
     generators = [(c, mixing.algebra.top_degree + fan.codim(c)) for c in fan.cones]
-    relations = []
-    for tau in fan.cones:
-        for m in tau.span_normals:
-            relation = relation_at(fan, mixing, tau, m)
-            if equivariant:
-                relation.equivariant_part = m
-            relations.append(relation)
+    rows = relation_rows(fan, mixing)
+    relations = [
+        Relation(r.tau, r.m, dict(r.lhs), r.rhs, r.m if equivariant else None)
+        for tau in fan.cones
+        for r in rows[tau]
+    ]
     return Presentation(generators, relations)
 
 

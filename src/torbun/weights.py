@@ -6,6 +6,8 @@ balancing condition.  The relation at (tau, m) has the coefficient
 <m, r> / k at a cone sigma one up from tau, for the ray r of sigma outside
 tau and the gcd k the fan keeps with it per face: that is <m, n> for every
 lift n of the normal generator n_sigma/tau, and needs no quotient lattice.
+The relations are built once per fan and mixing map and kept on the fan;
+balancing and the presentations read them.
 Products sum over the cone pairs that still meet after a certified generic
 displacement, deciding only pairs where both weights are nonzero, each by
 one rational solve.
@@ -114,25 +116,50 @@ def relation_at(fan: Fan, mixing: MixingMap, tau: Cone, m) -> Relation:
     return Relation(tau=tau, m=m, lhs=lhs, rhs=mixing.delta(m))
 
 
+def relation_rows(fan: Fan, mixing: MixingMap) -> dict:
+    """`fan.relation_rows` for this mixing map: each cone tau mapped to the
+    relations at (tau, m) for m in tau.span_normals, in order, all built by
+    `relation_at` when the mixing map differs in value from the last one.
+    The rows are shared: read them, never change them."""
+    if fan.relation_rows is None or (fan.relation_rows[0] is not mixing and fan.relation_rows[0] != mixing):
+        rows = {tau: tuple(relation_at(fan, mixing, tau, m) for m in tau.span_normals) for tau in fan.cones}
+        fan.relation_rows = (mixing, rows)
+    return fan.relation_rows[1]
+
+
+def _sides(W: MinkowskiWeight, relation: Relation):
+    """Both sides of `relation` evaluated on W, reading only W's nonzero values."""
+    values = W.values
+    lhs = W.algebra.zero()
+    for sigma, coeff in relation.lhs.items():
+        if sigma in values:
+            lhs = lhs + values[sigma] * coeff
+    return lhs, (relation.rhs * values[relation.tau] if relation.tau in values else W.algebra.zero())
+
+
 def balancing_sides(W: MinkowskiWeight, tau: Cone, m):
     """Both sides of the balancing condition at (tau, m in perp(tau)): the
     relation at (tau, m) evaluated on W."""
-    relation = relation_at(W.fan, W.mixing, tau, m)
-    lhs = W.algebra.zero()
-    for sigma, coeff in relation.lhs.items():
-        lhs = lhs + W.value(sigma) * coeff
-    return lhs, relation.rhs * W.value(tau)
+    return _sides(W, relation_at(W.fan, W.mixing, tau, m))
 
 
 def check_balancing(W: MinkowskiWeight) -> BalancingReport:
-    """Verify the balancing condition on a basis of perp(tau) for every tau."""
-    _require_complete(W.fan)
+    """Verify the balancing condition on a basis of perp(tau) for every tau.
+
+    Both sides at tau vanish unless W is nonzero at tau or at a cone one
+    dimension up, so only those tau are evaluated, in fan order.
+    """
+    fan = W.fan
+    _require_complete(fan)
+    values = W.values
+    rows = relation_rows(fan, W.mixing)
     violations = []
-    for tau in W.fan.cones:
-        for m in tau.span_normals:
-            lhs, rhs = balancing_sides(W, tau, m)
-            if lhs != rhs:
-                violations.append((tau, m, lhs, rhs))
+    for tau in fan.cones:
+        if tau in values or not values.keys().isdisjoint(fan.relation_normals(tau)):
+            for relation in rows[tau]:
+                lhs, rhs = _sides(W, relation)
+                if lhs != rhs:
+                    violations.append((tau, relation.m, lhs, rhs))
     return BalancingReport(ok=not violations, violations=violations)
 
 

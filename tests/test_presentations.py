@@ -10,6 +10,8 @@ import pytest
 
 import torbun as tb
 
+from conftest import cube_fan
+
 
 def find_relation(pres, fan, tau_key, m):
     for r in pres.relations:
@@ -92,6 +94,35 @@ def test_presentation_independent_of_earlier_calls():
         outputs.append(done.stdout.splitlines())
     assert outputs[0] == outputs[1]
     assert "(2, 3) (0, 1, 0, 0) [((1, 2, 3), 1), ((2, 3, 4), -1)] 0" in outputs[0]
+
+
+def test_presentations_copy_the_shared_rows(f1_fan, mixing):
+    # both presentations read the rows the fan keeps, each relation a fresh
+    # copy: the equivariant one marks only its own copies, and changing a
+    # returned relation changes no later presentation
+    cube = cube_fan(1)
+    one_cone = tb.fan_from_ray_lists(2, [(1, 0), (1, 2)], [(0, 1)])
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    cases = [(f1_fan, mixing), (cube, tb.MixingMap(p1, [h, p1.zero(), -h])), (one_cone, tb.MixingMap(p1, [h, h]))]
+    for fan, mix in cases:
+        def row_by_row(equivariant):
+            rows = [tb.weights.relation_at(fan, mix, tau, m) for tau in fan.cones for m in tau.span_normals]
+            for r in rows:
+                r.equivariant_part = r.m if equivariant else None
+            return rows
+
+        generators = [(c, mix.algebra.top_degree + fan.codim(c)) for c in fan.cones]
+        epres = tb.equivariant_presentation(fan, mix)
+        pres = tb.homology_presentation(fan, mix)
+        assert all(r.equivariant_part is None for r in pres.relations)
+        assert pres.relations == row_by_row(False) and epres.relations == row_by_row(True)
+        assert pres.generators == epres.generators == generators
+        for r in pres.relations + epres.relations:
+            r.lhs.clear()
+            r.equivariant_part = (7,) * fan.ambient_rank
+        assert tb.homology_presentation(fan, mix).relations == row_by_row(False)
+        assert tb.equivariant_presentation(fan, mix).relations == row_by_row(True)
 
 
 def test_point_fan_presentation():

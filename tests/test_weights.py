@@ -26,6 +26,7 @@ from conftest import (
     projective_space_rays,
     shear,
 )
+from test_equivariant import fixture_and_ladder_fans, random_compatible_pp
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,77 @@ def test_balancing_requires_complete_fan(base_algebra, mixing):
     W = tb.MinkowskiWeight(fan, base_algebra, mixing, 0, {})
     with pytest.raises(tb.FanNotComplete):
         tb.check_balancing(W)
+
+
+def per_call_balancing(W):
+    """The balancing report by the per-call route, the oracle: a fresh
+    relation_at at every tau and every m of tau.span_normals, evaluated on
+    every value of W, zero or not."""
+    violations = []
+    for tau in W.fan.cones:
+        for m in tau.span_normals:
+            relation = tb.weights.relation_at(W.fan, W.mixing, tau, m)
+            lhs = W.algebra.zero()
+            for sigma, coeff in relation.lhs.items():
+                lhs = lhs + W.value(sigma) * coeff
+            rhs = relation.rhs * W.value(tau)
+            if lhs != rhs:
+                violations.append((tau, m, lhs, rhs))
+    return tb.BalancingReport(ok=not violations, violations=violations)
+
+
+def perturbed(W, cone, rng):
+    """W with a random nonzero class of the right degree added at `cone`,
+    or None when no class has that degree."""
+    candidates = W.algebra.basis_of_degree(W.codim - W.fan.codim(cone))
+    if not candidates:
+        return None
+    el = tb.AlgebraElement(W.algebra, {rng.choice(candidates): rng.choice((-2, -1, 1, 2))})
+    return tb.MinkowskiWeight(W.fan, W.algebra, W.mixing, W.codim, {**W.values, cone: W.value(cone) + el})
+
+
+def next_to(fan, support):
+    """The cones outside `support` one dimension above or below a cone in it."""
+    def adjacent(c, s):
+        return abs(c.dim - s.dim) == 1 and (c in fan.cones_containing(s) or s in fan.cones_containing(c))
+
+    return [c for c in fan.cones if c not in support and any(adjacent(c, s) for s in support)]
+
+
+def test_balancing_matches_per_call_relations():
+    # the shared rows, evaluated only where the weight lives, against fresh
+    # relations at every (tau, m): whole reports, on balanced limit weights
+    # and on copies perturbed at a cone of the support and at cones just
+    # outside it, under two unequal mixing maps taken in turn on each fan,
+    # so that rows kept for the wrong mixing map would show
+    rng = random.Random(17)
+    base = tb.make_free_truncated([("a1", 1), ("a2", 1)], 2)
+    images = [base.basis_element("a1"), base.basis_element("a2")]
+    images += [images[0] - images[1], base.zero()]
+    singular = tb.fan_from_ray_lists(2, [(1, 0), (1, 2), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+    fans = [fan for fan in fixture_and_ladder_fans() + [singular] if tb.is_complete(fan)]
+    assert not singular.is_smooth() and sum(not fan.is_simplicial() for fan in fans) == 2
+    checked = {"balanced": 0, "unbalanced": 0}
+    for fan in fans:
+        n = fan.ambient_rank
+        mixes = [tb.MixingMap(base, [rng.choice(images) for _ in range(n)]) for _ in range(2)]
+        while n and mixes[0] == mixes[1]:
+            mixes[1] = tb.MixingMap(base, [rng.choice(images) for _ in range(n)])
+        weights = []  # (weight, whether it is a balanced one)
+        for degree in range(1, 4) if n else (0,):
+            f = random_compatible_pp(fan, rng, degree)
+            for mix in mixes:
+                W = tb.pp_to_mw(f, mix)
+                weights.append((W, True))
+                if not W.is_zero():
+                    cones = [rng.choice(sorted(W.values, key=fan.cone_sort_key))] + next_to(fan, W.values)[:3]
+                    weights += [(V, False) for V in (perturbed(W, c, rng) for c in cones) if V is not None]
+        for W, balanced in weights:  # the weights alternate between the two mixing maps
+            report = tb.check_balancing(W)
+            assert report == per_call_balancing(W), fan
+            assert report.ok or not balanced, fan
+            checked["balanced" if report.ok else "unbalanced"] += 1
+    assert min(checked.values()) > 100, checked
 
 
 def relation_fans():
@@ -554,5 +626,44 @@ def test_residue_table_work_counts_and_lifetime(monkeypatch):
     assert counts == {"triangulations": 0}
     ref = weakref.ref(fan)
     del fan, f, first, pieces, sigma
+    gc.collect()
+    assert ref() is None
+
+
+def test_relation_rows_work_counts_and_lifetime(monkeypatch):
+    # work counts, not wall time: the relation rows live on the fan for the
+    # last mixing map, so a second balancing check or a presentation under a
+    # mixing map equal in value builds no relation, and an unequal one
+    # rebuilds them all; and they die with the fan
+    counts = {"relations": 0}
+    relation_at = tb.weights.relation_at
+
+    def counted_relation_at(*args):
+        counts["relations"] += 1
+        return relation_at(*args)
+
+    monkeypatch.setattr(tb.weights, "relation_at", counted_relation_at)
+    fan = p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1))
+    every_row = sum(len(tau.span_normals) for tau in fan.cones)
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    mix = tb.MixingMap(p1, [h, p1.zero(), -h])
+    W = tb.poincare_dual_mw(fan, mix, [0, 2])  # its postcondition builds the rows
+    assert counts == {"relations": every_row} and every_row == 27
+    counts["relations"] = 0
+    assert tb.check_balancing(W).ok
+    same = tb.MixingMap(p1, [h, p1.zero(), -h])
+    assert same == mix and same is not mix
+    assert tb.check_balancing(tb.MinkowskiWeight(fan, p1, same, W.codim, W.values)).ok
+    tb.homology_presentation(fan, same)
+    tb.equivariant_presentation(fan, mix)
+    assert counts == {"relations": 0}
+    other = tb.MixingMap(p1, [h, h, p1.zero()])
+    assert not tb.check_balancing(tb.MinkowskiWeight(fan, p1, other, W.codim, W.values)).ok
+    assert counts == {"relations": every_row}
+    assert tb.check_balancing(W).ok
+    assert counts == {"relations": 2 * every_row}
+    ref = weakref.ref(fan)
+    del fan, W
     gc.collect()
     assert ref() is None
