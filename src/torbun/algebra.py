@@ -87,7 +87,7 @@ class GradedAlgebra:
         return [i for i, deg in enumerate(self.degrees) if deg == d]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GradedAlgebra)
             and self.names == other.names
             and self.degrees == other.degrees
@@ -196,7 +196,7 @@ class AlgebraElement:
             return AlgebraElement(self.algebra, {0: other})
         if not isinstance(other, AlgebraElement):
             return None
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise ValueError("elements of different algebras")
         return other
 

@@ -15,7 +15,8 @@ over the e(sigma, tau) with the lcm of their contents, and the polynomials
 N_sigma = D_tau * e(sigma, tau), built once from one triangulation of each
 maximal cone.  A residue sum is then one polynomial, sum of f_sigma *
 N_sigma, divided exactly by D_tau; `cone_equivariant_multiplicity` keeps
-the per-call route.
+the per-call route.  Compatibility on a complete fan is checked across the
+walls the fan keeps, and pair by pair only when some wall disagrees.
 """
 
 from __future__ import annotations
@@ -73,19 +74,51 @@ class PiecewisePolynomial:
 
 def check_pp(f: PiecewisePolynomial):
     """List of (sigma1, sigma2, common_face) where the pieces disagree on the
-    span of the shared face; empty means compatible."""
+    span of the shared face; empty means compatible.
+
+    On a complete fan the walls are checked first: the maximal cones around
+    a face of dimension >= 1 are connected through walls containing it, so
+    agreement across every wall is agreement on every common face of
+    dimension >= 1, and the list is empty.  Otherwise every pair of maximal
+    cones is restricted to its common face, and the list is that scan's.
+    """
     fan = f.fan
+    if is_complete(fan) and all(_agree(f, s1, s2, params) for _, s1, s2, params in _walls(fan)):
+        return []
     violations = []
     for s1, s2 in itertools.combinations(fan.maximal_cones, 2):
         tau = fan.common_face(s1, s2)
         if tau.dim == 0:
             continue
-        basis = tau.sublattice.basis
-        params = [Polynomial.linear_form([b[i] for b in basis]) for i in range(fan.ambient_rank)]
-        diff = (f.pieces[s1] - f.pieces[s2]).compose(params)
-        if not diff.is_zero():
+        if not _agree(f, s1, s2, _parameter_forms(tau)):
             violations.append((s1, s2, tau))
     return violations
+
+
+def _parameter_forms(tau: Cone):
+    """The coordinates of span(tau) as linear forms in the parameters of
+    tau.sublattice.basis."""
+    basis = tau.sublattice.basis
+    return [Polynomial.linear_form([b[i] for b in basis]) for i in range(tau.ambient_rank)]
+
+
+def _agree(f: PiecewisePolynomial, s1: Cone, s2: Cone, params) -> bool:
+    return (f.pieces[s1] - f.pieces[s2]).compose(params).is_zero()
+
+
+def _walls(fan: Fan):
+    """fan.walls, built on first use for a complete fan: each cone of
+    dimension n - 1 >= 1, in fan order, as (wall, sigma1, sigma2, its
+    _parameter_forms) with its two maximal cones in fan order."""
+    if fan.walls is None:
+        n = fan.ambient_rank
+        walls = []
+        for tau in fan.cones:
+            if tau.dim == n - 1 >= 1:
+                s1, s2 = (s for s in fan.cones_containing(tau) if s.dim == n)
+                walls.append((tau, s1, s2, _parameter_forms(tau)))
+        fan.walls = tuple(walls)
+    return fan.walls
 
 
 def _simplices(sigma: Cone):

@@ -64,13 +64,14 @@ class Cone:
     sublattice.
     """
 
-    __slots__ = ("ambient_rank", "rays", "dim", "facet_normals", "sublattice", "span_normals", "_key")
+    __slots__ = ("ambient_rank", "rays", "dim", "facet_normals", "sublattice", "span_normals", "_key", "_hash")
 
     def __init__(self, ambient_rank, rays, facet_normals):
         self.ambient_rank = ambient_rank
         self.rays = tuple(rays)
         self.facet_normals = tuple(facet_normals)
         self._key = (ambient_rank, tuple(sorted(self.rays)))
+        self._hash = hash(self._key)
         self.sublattice = saturated_span(ambient_rank, self._key[1])
         self.dim = self.sublattice.rank
         self.span_normals = tuple(perp_basis(self.sublattice))
@@ -79,7 +80,7 @@ class Cone:
         return isinstance(other, Cone) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"Cone{self.rays} in Z^{self.ambient_rank}"
@@ -254,7 +255,13 @@ class Fan:
     read; and `residue_tables`, empty until the first residue sum, then for
     every cone tau the common denominator D_tau of the multiplicities
     e(sigma, tau) and the numerators D_tau * e(sigma, tau), which
-    `equivariant.residue_sum` fills for all cones at once.
+    `equivariant.residue_sum` fills for all cones at once;
+    `dual_characters`, which the ring oracle fills one entry at a time:
+    for a smooth maximal cone and one of its rays, (sigma, ray index) ->
+    the dual character m and the nonzero <m, u> over the other rays, for
+    any mixing map; and `walls`, None until `equivariant.check_pp` first
+    checks a complete fan, then each cone of dimension n - 1 >= 1 with its
+    two maximal cones and the parameter forms of its span.
     Smoothness and completeness are decided once per fan too.
     """
 
@@ -290,6 +297,8 @@ class Fan:
         self.displacement_table = None
         self.relation_rows = None
         self.residue_tables = {}
+        self.dual_characters = {}
+        self.walls = None
         self._relation_normals = {}
         if validate:
             self._validate()

@@ -4,7 +4,10 @@ The homology presentation lists one generator per cone and one relation per
 (cone, perp character).  On a smooth complete fan, products of fibrewise
 divisors reduce to a normal form in stratum classes by squarefree lookup and
 elimination of repeated factors through the linear relations; pushing
-forward to the base turns ring classes into Minkowski weights.
+forward to the base turns ring classes into Minkowski weights.  Normal forms
+are memoised by monomial, one memo for all the cones of a Poincare-dual
+weight, and each elimination reads the dual character it substitutes from a
+table the fan keeps.
 """
 
 from __future__ import annotations
@@ -100,48 +103,101 @@ def _dual_character(sigma_star: Cone, ray: Vec) -> Vec:
     return tuple(int(c) for c in col)
 
 
-def reduce_product(fan: Fan, mixing: MixingMap, ray_indices, base: AlgebraElement = None) -> RingElement:
-    """Normal form of p*(base) . prod(D_ray) in stratum classes.
+def _elimination(fan: Fan, sigma_star: Cone, rep: int):
+    """fan.dual_characters' entry for a smooth maximal cone and its ray of
+    index rep, built on first use: the dual character m, and (j, <m, u_j>)
+    for the fan's other rays u_j where the pairing is nonzero, in ray order."""
+    entry = fan.dual_characters.get((sigma_star, rep))
+    if entry is None:
+        m = _dual_character(sigma_star, fan.rays[rep])
+        others = tuple((j, c) for j, u in enumerate(fan.rays) if j != rep and (c := dot(m, u)) != 0)
+        entry = fan.dual_characters[(sigma_star, rep)] = (m, others)
+    return entry
+
+
+def _normal_forms(fan: Fan, mixing: MixingMap):
+    """A memoised routine `_normal_form(monomial)`: for a sorted tuple of ray
+    indices, the normal form of prod(D_ray) in stratum classes, as
+    {cone: nonzero coefficient}.  Every call of the routine shares one memo,
+    and delta(m) is taken once per character m.
 
     Squarefree monomials over a cone become that stratum; non-faces vanish;
     a repeated ray is eliminated by substituting its linear relation, chosen
-    so the other rays of the smallest containing maximal cone drop out.
+    so that the other rays of the first maximal cone containing the
+    monomial's cone drop out: D_rep = p*delta(m) - sum <m, u_j> D_j.  A step
+    keeps the monomial's length plus its coefficient's degree, and a normal
+    form's monomials have at most n rays, so a monomial longer than n plus
+    the top degree is 0.  Elimination runs on an explicit stack.
     """
-    _require_oracle_fan(fan)
-    algebra = mixing.algebra
-    base = base if base is not None else algebra.one()
-    start = tuple(sorted(ray_indices))
-    if not all(0 <= i < len(fan.rays) for i in start):
-        raise ValueError(f"ray indices must lie in 0..{len(fan.rays) - 1}, got {list(start)}")
-    result = RingElement(fan, algebra)
-    # worklist of (sorted ray-index multiset, coefficient)
-    work = [(start, base)]
-    while work:
-        monomial, coeff = work.pop()
-        if coeff.is_zero():
-            continue
+    n, algebra = fan.ambient_rank, mixing.algebra
+    longest = n + algebra.top_degree
+    memo, deltas = {}, {}
+
+    def step(monomial):
+        """monomial's normal form when it needs no elimination, else the
+        elimination (delta(m), monomial without one rep, [(-<m, u_j>, monomial_j)])."""
+        if len(monomial) > longest:
+            return {}
         try:
             cone = fan.cone_by_ray_indices(set(monomial))
         except ConeNotInFan:
-            continue  # non-face annihilates the product
-        if len(set(monomial)) == len(monomial):
-            result = result.add_term(cone, coeff)
-            continue
-        rep = next(i for i in monomial if monomial.count(i) > 1)
-        rest = list(monomial)
-        rest.remove(rep)
-        rest = tuple(rest)
-        sigma_star = next(s for s in fan.cones_containing(cone) if s.dim == fan.ambient_rank)
-        m = _dual_character(sigma_star, fan.rays[rep])
-        # D_rep = p*delta(m) - sum_{other rays} <m, u> D_other
-        work.append((rest, coeff * mixing.delta(m)))
-        for j, u in enumerate(fan.rays):
-            if j == rep:
+            return {}  # non-face annihilates the product
+        if len(cone.rays) == len(monomial):
+            return {cone: algebra.one()}
+        k = next(k for k in range(len(monomial) - 1) if monomial[k] == monomial[k + 1])
+        rest = monomial[:k] + monomial[k + 1 :]
+        sigma_star = next(s for s in fan.cones_containing(cone) if s.dim == n)
+        m, others = _elimination(fan, sigma_star, monomial[k])
+        if m not in deltas:
+            deltas[m] = mixing.delta(m)
+        return deltas[m], rest, [(-c, tuple(sorted(rest + (j,)))) for j, c in others]
+
+    def _normal_form(monomial) -> dict:
+        stack, steps = [monomial], {}  # steps: the eliminations under way
+        while stack:
+            mono = stack[-1]
+            if mono in memo:
+                stack.pop()
                 continue
-            c = dot(m, u)
-            if c != 0:
-                work.append((tuple(sorted(rest + (j,))), coeff * (-c)))
-    return result
+            if mono not in steps:
+                steps[mono] = step(mono)
+                if isinstance(steps[mono], dict):
+                    memo[mono] = steps.pop(mono)
+                    continue
+            delta, rest, others = steps[mono]
+            needed = ([rest] if not delta.is_zero() else []) + [mj for _, mj in others]
+            todo = [mj for mj in needed if mj not in memo]
+            if todo:
+                # a monomial under way that comes back would never finish
+                check_invariant(not any(mj in steps for mj in todo), "an elimination returns to its monomial")
+                stack += todo
+                continue
+            out = {cone: el * delta for cone, el in memo[rest].items()} if not delta.is_zero() else {}
+            for c, mj in others:
+                for cone, el in memo[mj].items():
+                    out[cone] = out[cone] + el * c if cone in out else el * c
+            memo[mono] = {cone: el for cone, el in out.items() if not el.is_zero()}
+            del steps[mono]
+            stack.pop()
+        return memo[monomial]
+
+    return _normal_form
+
+
+def _monomial(fan: Fan, ray_indices) -> tuple:
+    start = tuple(sorted(ray_indices))
+    if not all(0 <= i < len(fan.rays) for i in start):
+        raise ValueError(f"ray indices must lie in 0..{len(fan.rays) - 1}, got {list(start)}")
+    return start
+
+
+def reduce_product(fan: Fan, mixing: MixingMap, ray_indices, base: AlgebraElement = None) -> RingElement:
+    """Normal form of p*(base) . prod(D_ray) in stratum classes: base times
+    the memoised normal form of the monomial."""
+    _require_oracle_fan(fan)
+    base = base if base is not None else mixing.algebra.one()
+    nf = _normal_forms(fan, mixing)(_monomial(fan, ray_indices))
+    return RingElement(fan, mixing.algebra, {cone: base * el for cone, el in nf.items()})
 
 
 def pushforward_to_base(element: RingElement) -> AlgebraElement:
@@ -158,18 +214,24 @@ def poincare_dual_mw(
     fan: Fan, mixing: MixingMap, ray_indices, base: AlgebraElement = None
 ) -> MinkowskiWeight:
     """Minkowski weight of the ring class p*(base) . prod(D_ray):
-    its value on a cone is the pushforward of the product with that stratum."""
+    its value on a cone is the pushforward of the product with that stratum.
+    The normal forms of all cones share one memo."""
     _require_oracle_fan(fan)
     algebra = mixing.algebra
     base = base if base is not None else algebra.one()
     base_degs = base.degrees()
     if len(base_degs) > 1:
         raise ValueError("base class must be homogeneous")
-    codim = len(tuple(ray_indices)) + (base_degs[0] if base_degs else 0)
+    ray_indices = tuple(ray_indices)
+    codim = len(ray_indices) + (base_degs[0] if base_degs else 0)
+    start = _monomial(fan, ray_indices)
+    normal_form = _normal_forms(fan, mixing)
     values = {}
     for cone in fan.cones:
-        nf = reduce_product(fan, mixing, tuple(ray_indices) + fan.cone_key(cone), base)
-        val = pushforward_to_base(nf)
+        # p_* keeps the full-dimensional strata
+        nf = normal_form(tuple(sorted(start + fan.cone_key(cone))))
+        top = [el for c, el in nf.items() if c.dim == fan.ambient_rank]
+        val = sum(top[1:], top[0]) * base if top else algebra.zero()
         if not val.is_zero():
             values[cone] = val
     W = MinkowskiWeight(fan, algebra, mixing, codim, values)

@@ -41,6 +41,22 @@ def test_unit_and_products(base_algebra, a1, a2):
     assert (a1 ** 5).is_zero()
 
 
+def test_elements_of_equal_algebra_objects_combine():
+    # algebras are compared by identity first, then by value: elements of
+    # two distinct but equal algebra objects still add and multiply, and
+    # elements of different algebras do not
+    A = tb.make_free_truncated([("a1", 1), ("a2", 1)], 4)
+    B = tb.make_free_truncated([("a1", 1), ("a2", 1)], 4)
+    assert A is not B and A == B and A == A
+    a1, b2 = A.basis_element("a1"), B.basis_element("a2")
+    assert a1 + b2 == A.basis_element("a1") + A.basis_element("a2")
+    assert a1 * b2 == A.basis_element("a1*a2") and b2 - a1 == -(a1 - b2)
+    other = tb.make_free_truncated([("a1", 1), ("a2", 1)], 3)
+    for op in ("__add__", "__sub__", "__mul__"):
+        with pytest.raises(ValueError):
+            getattr(a1, op)(other.basis_element("a2"))
+
+
 def test_rejects_broken_tables():
     # b*b = 1 drops degree, so the table is not graded
     with pytest.raises(ValueError):

@@ -302,6 +302,48 @@ def random_compatible_pp(fan, rng, degree):
     return total
 
 
+def all_pairs_check_pp(f):
+    """The differential oracle for check_pp: every pair of maximal cones
+    restricted to its common face of dimension >= 1."""
+    fan = f.fan
+    violations = []
+    for s1, s2 in itertools.combinations(fan.maximal_cones, 2):
+        tau = fan.common_face(s1, s2)
+        if tau.dim == 0:
+            continue
+        basis = tau.sublattice.basis
+        params = [Polynomial.linear_form([b[i] for b in basis]) for i in range(fan.ambient_rank)]
+        if not (f.pieces[s1] - f.pieces[s2]).compose(params).is_zero():
+            violations.append((s1, s2, tau))
+    return violations
+
+
+def test_check_pp_matches_all_pairs_scan():
+    # the wall check against the all-pairs scan, whole violation lists: on
+    # compatible piecewise polynomials and on copies changed at one maximal
+    # cone by a power of a random form or of a facet normal of that cone
+    # (which leaves the pieces agreeing across that facet's wall)
+    rng = random.Random(29)
+    fans = fixture_and_ladder_fans()
+    assert sum(map(tb.is_complete, fans)) == len(fans) - 1  # the cone over a square is not
+    checked = {"compatible": 0, "incompatible": 0}
+    for fan in fans:
+        n = fan.ambient_rank
+        for degree in range(4) if n else (0,):
+            f = random_compatible_pp(fan, rng, degree)
+            cases = [f]
+            for _ in range(3):
+                sigma = rng.choice(fan.maximal_cones)
+                forms = [[rng.randint(-3, 3) for _ in range(n)]] + [list(u) for u in sigma.facet_normals]
+                bump = Polynomial.linear_form(rng.choice(forms)) ** degree
+                cases.append(tb.PiecewisePolynomial(fan, degree, {**f.pieces, sigma: f.pieces[sigma] + bump}))
+            for g in cases:
+                violations = tb.check_pp(g)
+                assert violations == all_pairs_check_pp(g), (fan, degree)
+                checked["incompatible" if violations else "compatible"] += 1
+    assert min(checked.values()) > 60, checked
+
+
 def test_residue_not_polynomial_on_incompatible_input(f1_fan):
     # pieces that disagree across a face cannot telescope
     s12 = f1_fan.cone_by_ray_indices([0, 1])

@@ -56,6 +56,18 @@ def test_ray_normalization_and_redundancy():
     assert sorted(c.rays) == [(1, 0), (1, 1)]
 
 
+def test_equal_cones_hash_equal():
+    # the hash is taken once, from the sorted rays, so the order in which
+    # the rays were given does not matter
+    rays = [(1, 0, 0), (1, 1, 0), (0, 1, 1)]
+    cones = [tb.cone_from_rays(3, p) for p in itertools.permutations(rays)]
+    assert len({id(c) for c in cones}) > 1
+    assert all(c == cones[0] and hash(c) == hash(cones[0]) for c in cones)
+    made = tb.fans.Cone(3, rays[::-1], cones[0].facet_normals)
+    assert made == cones[0] and hash(made) == hash(cones[0])
+    assert len({cones[0], made, tb.cone_from_rays(3, rays[:2])}) == 2
+
+
 def test_rank_cap():
     with pytest.raises(tb.RankCapExceeded):
         tb.cone_from_rays(5, [(1, 0, 0, 0, 0)])

@@ -2,15 +2,28 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import torbun as tb
+from torbun.errors import ConeNotInFan
+from torbun.lattice import dot
+from torbun.problem import parse_problem
 
-from conftest import cube_fan
+from conftest import (
+    FIXTURES,
+    P1_CUBED_RAYS,
+    cube_fan,
+    p1_cubed_fan,
+    p1_fourth_fan,
+    projective_space_fan,
+    shear,
+)
 
 
 def find_relation(pres, fan, tau_key, m):
@@ -180,6 +193,114 @@ def test_reduce_requires_smooth_complete(mixing):
     incomplete = tb.fan_from_ray_lists(2, [(1, 0), (0, 1)], [(0, 1)])
     with pytest.raises(tb.OracleRequiresSmoothComplete):
         tb.reduce_product(incomplete, mix, [0])
+
+
+def worklist_reduce(fan, mixing, ray_indices, base=None):
+    """The differential oracle: reduce_product by a worklist of (monomial,
+    coefficient) pairs, each carrying its whole product of coefficients, and
+    nothing shared between monomials or calls."""
+    algebra = mixing.algebra
+    base = base if base is not None else algebra.one()
+    result = tb.RingElement(fan, algebra)
+    work = [(tuple(sorted(ray_indices)), base)]
+    while work:
+        monomial, coeff = work.pop()
+        if coeff.is_zero():
+            continue
+        try:
+            cone = fan.cone_by_ray_indices(set(monomial))
+        except ConeNotInFan:
+            continue
+        if len(set(monomial)) == len(monomial):
+            result = result.add_term(cone, coeff)
+            continue
+        rep = next(i for i in monomial if monomial.count(i) > 1)
+        rest = list(monomial)
+        rest.remove(rep)
+        rest = tuple(rest)
+        sigma_star = next(s for s in fan.cones_containing(cone) if s.dim == fan.ambient_rank)
+        col = tb.lattice.dual_basis(sigma_star.rays)[sigma_star.rays.index(fan.rays[rep])]
+        m = tuple(int(c) for c in col)
+        work.append((rest, coeff * mixing.delta(m)))
+        for j, u in enumerate(fan.rays):
+            c = dot(m, u)
+            if j != rep and c != 0:
+                work.append((tuple(sorted(rest + (j,))), coeff * (-c)))
+    return result
+
+
+def worklist_dual_values(fan, mixing, ray_indices, base):
+    """poincare_dual_mw's values from worklist_reduce, one cone at a time."""
+    values = {}
+    for cone in fan.cones:
+        val = tb.pushforward_to_base(worklist_reduce(fan, mixing, list(ray_indices) + list(fan.cone_key(cone)), base))
+        if not val.is_zero():
+            values[cone] = val
+    return values
+
+
+def oracle_cases():
+    """(fan, mixing map, monomials to reduce, monomials to dualise): F1, the
+    (P^1)^2 fixtures, (P^1)^3 and its twelve shears over P^1, (P^1)^3 over a
+    two-generator base, and P^4 and (P^1)^4 over P^1 with seeded samples."""
+    rng = random.Random(23)
+    f1 = tb.make_free_truncated([("a1", 1), ("a2", 1)], 4)
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    twist = tb.make_free_truncated([("a1", 1), ("a2", 1)], 2)
+    a1, a2 = twist.basis_element("a1"), twist.basis_element("a2")
+
+    def every(fan, length):
+        return [m for k in range(length + 1) for m in itertools.combinations_with_replacement(range(len(fan.rays)), k)]
+
+    def sample(fan, length, count):
+        return [tuple(rng.randrange(len(fan.rays)) for _ in range(rng.randint(0, length))) for _ in range(count)]
+
+    cases = []
+    for name in ("f1_bundle", "p1p1_diagonal", "p1p1_skew"):
+        problem = parse_problem((FIXTURES / f"{name}.json").read_text())
+        cases.append((problem.fan, problem.mixing, every(problem.fan, 3), every(problem.fan, 2)))
+    for rays in [P1_CUBED_RAYS] + [shear(P1_CUBED_RAYS, i, j, s) for i, j in itertools.permutations(range(3), 2) for s in (1, -1)]:
+        fan = p1_cubed_fan(rays)
+        cases.append((fan, tb.MixingMap(p1, [h, p1.zero(), -h]), sample(fan, 4, 6), sample(fan, 2, 3)))
+    fan = p1_cubed_fan()
+    cases.append((fan, tb.MixingMap(twist, [a1, a2, a1 - a2]), every(fan, 3), every(fan, 1)))
+    for fan in (projective_space_fan(4), p1_fourth_fan()):
+        cases.append((fan, tb.MixingMap(p1, [h, -h, p1.zero(), h]), sample(fan, 5, 8), sample(fan, 2, 3)))
+    return cases
+
+
+def test_oracle_matches_worklist():
+    # the memoised normal forms against the worklist, with every basis
+    # element of the base as the base class
+    checked = {"reduce": 0, "eliminated": 0, "dual": 0}
+    for fan, mix, reduce_monomials, dual_monomials in oracle_cases():
+        algebra = mix.algebra
+        bases = [tb.AlgebraElement(algebra, {i: 1}) for i in range(len(algebra.names))]
+        for monomial, base in itertools.product(reduce_monomials, bases):
+            nf = tb.reduce_product(fan, mix, list(monomial), base)
+            assert nf == worklist_reduce(fan, mix, monomial, base), (fan, monomial, base)
+            checked["reduce"] += 1
+            checked["eliminated"] += len(set(monomial)) < len(monomial) and bool(nf.terms)
+        for monomial, base in itertools.product(dual_monomials, bases):
+            W = tb.poincare_dual_mw(fan, mix, list(monomial), base)
+            assert W.codim == len(monomial) + algebra.degrees[next(iter(base.coeffs))]
+            assert W.values == worklist_dual_values(fan, mix, monomial, base), (fan, monomial, base)
+            checked["dual"] += 1
+    assert checked["reduce"] > 1000 and checked["eliminated"] > 250 and checked["dual"] > 350, checked
+
+
+def test_oracle_long_monomials_vanish_quickly(f1_fan, mixing):
+    # a monomial longer than the rank plus the top degree is 0, found
+    # without an elimination step
+    start = time.perf_counter()
+    assert tb.reduce_product(f1_fan, mixing, [0] * 2000).terms == {}
+    W = tb.poincare_dual_mw(f1_fan, mixing, [0] * 2000)
+    assert W.values == {} and W.codim == 2000
+    assert time.perf_counter() - start < 2
+    # one factor fewer than the bound still reduces, to the worklist's answer
+    longest = [0] * (f1_fan.ambient_rank + mixing.algebra.top_degree)
+    assert tb.reduce_product(f1_fan, mixing, longest) == worklist_reduce(f1_fan, mixing, longest)
 
 
 # ---------------------------------------------------------------------------

@@ -667,3 +667,45 @@ def test_relation_rows_work_counts_and_lifetime(monkeypatch):
     del fan, W
     gc.collect()
     assert ref() is None
+
+
+def test_oracle_and_wall_tables_work_counts_and_lifetime(monkeypatch):
+    # work counts, not wall time: the dual characters of the ring oracle and
+    # the walls of the compatibility check live on the fan, so a second
+    # poincare_dual_mw inverts no dual basis and a second check_pp builds no
+    # wall table; and both die with the fan
+    counts = {"dual_bases": 0, "restrictions": 0}
+    dual_basis, parameter_forms = tb.presentations.dual_basis, tb.equivariant._parameter_forms
+
+    def counted_dual_basis(rows):
+        counts["dual_bases"] += 1
+        return dual_basis(rows)
+
+    def counted_parameter_forms(tau):
+        counts["restrictions"] += 1
+        return parameter_forms(tau)
+
+    monkeypatch.setattr(tb.presentations, "dual_basis", counted_dual_basis)
+    monkeypatch.setattr(tb.equivariant, "_parameter_forms", counted_parameter_forms)
+    fan = p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1))
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    mix = tb.MixingMap(p1, [h, p1.zero(), -h])
+    W = tb.poincare_dual_mw(fan, mix, [0, 0, 2])
+    assert counts["dual_bases"] == len(fan.dual_characters) > 0
+    counts["dual_bases"] = 0
+    assert tb.poincare_dual_mw(fan, mix, [0, 0, 2]) == W
+    # the entries do not depend on the mixing map
+    assert tb.poincare_dual_mw(fan, tb.MixingMap(p1, [h, h, p1.zero()]), [0, 0, 2]).codim == 3
+    assert counts["dual_bases"] == 0
+    walls = [c for c in fan.cones if c.dim == 2]
+    f = random_compatible_pp(fan, random.Random(3), 2)
+    assert tb.check_pp(f) == [] and counts["restrictions"] == len(walls) == 12
+    assert [wall for wall, *_ in fan.walls] == walls
+    counts["restrictions"] = 0
+    assert tb.check_pp(f) == [] and tb.pp_to_mw(f, mix).codim == 2
+    assert counts["restrictions"] == 0
+    ref = weakref.ref(fan)
+    del fan, W, f
+    gc.collect()
+    assert ref() is None
