@@ -228,10 +228,8 @@ def poincare_dual_mw(
     normal_form = _normal_forms(fan, mixing)
     values = {}
     for cone in fan.cones:
-        # p_* keeps the full-dimensional strata
-        nf = normal_form(tuple(sorted(start + fan.cone_key(cone))))
-        top = [el for c, el in nf.items() if c.dim == fan.ambient_rank]
-        val = sum(top[1:], top[0]) * base if top else algebra.zero()
+        nf = RingElement(fan, algebra, normal_form(tuple(sorted(start + fan.cone_key(cone)))))
+        val = pushforward_to_base(nf) * base
         if not val.is_zero():
             values[cone] = val
     W = MinkowskiWeight(fan, algebra, mixing, codim, values)
