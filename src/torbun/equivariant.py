@@ -5,7 +5,9 @@ read off one triangulation of sigma in N: the simplices containing a fixed
 top simplex T of tau's part of it, taken modulo span(tau), triangulate the
 image of sigma in the star of tau.  Each such simplex P adds the reciprocal
 of mult(P)/mult(T) times the product of its dual-basis characters at the
-rays outside T.
+rays outside T.  The triangulation is taken on ray tuples and each
+multiplicity is the gcd of maximal minors, so no cone and no Smith form is
+built.
 
 Residue sums of a compatible piecewise polynomial are always genuine
 polynomials; their images under the twisting map assemble into a balanced
@@ -14,9 +16,10 @@ keeps, for every cone tau, D_tau, each linear form at its highest power
 over the e(sigma, tau) with the lcm of their contents, and the polynomials
 N_sigma = D_tau * e(sigma, tau), built once from one triangulation of each
 maximal cone.  A residue sum is then one polynomial, sum of f_sigma *
-N_sigma, divided exactly by D_tau; `cone_equivariant_multiplicity` keeps
-the per-call route.  Compatibility on a complete fan is checked across the
-walls the fan keeps, and pair by pair only when some wall disagrees.
+N_sigma, divided exactly by D_tau, or zero at once when that sum is zero;
+`cone_equivariant_multiplicity` keeps the per-call route.  Compatibility
+on a complete fan is checked across the walls the fan keeps, and pair by
+pair only when some wall disagrees.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import lcm
 
 from .algebra import MixingMap
 from .errors import ConeNotInFan, FanNotComplete, ResidueNotPolynomial, check_invariant
-from .fans import Cone, Fan, is_complete, is_face, multiplicity, simplex_multiplicity, triangulate
+from .fans import Cone, Fan, is_complete, is_face, simplex_multiplicity, triangulate_rays
 from .lattice import dual_basis
 from .polynomials import LinearFraction, Polynomial, _primitive_form, divide_exact
 from .weights import MinkowskiWeight, _assert_balanced
@@ -132,8 +135,8 @@ def _simplices(sigma: Cone):
     if sigma.dim != sigma.ambient_rank:
         raise ValueError("expected a full-dimensional cone")
     return [
-        (piece.rays, multiplicity(piece), [_primitive_form(u) for u in dual_basis(piece.rays)])
-        for piece in triangulate(sigma)
+        (rays, simplex_multiplicity(rays), [_primitive_form(u) for u in dual_basis(rays)])
+        for rays in triangulate_rays(sigma)
     ]
 
 
@@ -243,7 +246,7 @@ def residue_sum(f: PiecewisePolynomial, tau: Cone) -> Polynomial:
         piece = f.pieces[sigma]
         if not piece.is_zero():
             total = total + piece * N
-    out = _exact_quotient(total, den, content)
+    out = total if total.is_zero() else _exact_quotient(total, den, content)
     if out is None:
         raise ResidueNotPolynomial(
             f"residue at {fan.cone_key(tau)} is {LinearFraction(total, den, content).render()}"

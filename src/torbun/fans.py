@@ -9,7 +9,10 @@ pairs of maximal cones meet in common faces: by a separating functional
 made of either cone's facet normals where that one separates, else by the
 same brute-force enumeration modulo the common face.
 Genericity of displacement vectors is decided against walls computed once
-per fan.  What is derived from a cone is kept on the Cone, and what is
+per fan, one kernel per distinct union of two cones' rays.  Placing
+triangulations work on ray tuples, with kernels and facet normals only,
+and simplex multiplicities are gcds of maximal minors, read off an integer
+echelon form.  What is derived from a cone is kept on the Cone, and what is
 derived from a fan on the Fan; the one module-level memo, of cones by their
 rays, is bounded.  All of it is exact integer and rational linear algebra.
 """
@@ -29,14 +32,17 @@ from .errors import (
     NotSimplicial,
     NotStronglyConvex,
     RankCapExceeded,
+    check_invariant,
 )
 from .lattice import (
+    INFINITE,
     MEMO_SIZE,
     Sublattice,
     Vec,
     dot,
     is_saturated,
     is_zero,
+    lattice_index,
     perp_basis,
     primitive,
     quotient_map,
@@ -44,7 +50,6 @@ from .lattice import (
     rational_rank,
     rational_span,
     saturated_span,
-    snf,
     solve_scaled,
     vec_add,
     vec_neg,
@@ -420,13 +425,20 @@ class Fan:
     def diagonal_walls(self) -> tuple:
         """The walls of the diagonal: the distinct proper subspaces
         span(s1) + span(s2) for cones s1, s2 of the fan, each given by
-        normal vectors spanning its perp."""
+        normal vectors spanning its perp, in the order of their first pair.
+
+        The pairs run over one cone per distinct span.  span(A) + span(B)
+        is span(A u B), so one kernel is taken per distinct union of the
+        pair's rays, for the first pair giving it; the walls and their
+        order are those of one kernel per pair."""
         spans = {}  # a span's key -> the rays of one cone spanning it
         for c, key in self.cone_spans.items():
             spans.setdefault(key, c.rays)
-        pairs = itertools.combinations_with_replacement(spans.values(), 2)
-        walls = (_wall(self.ambient_rank, A, B) for A, B in pairs)
-        return tuple(dict.fromkeys(w for w in walls if w is not None))
+        unions = {}  # the rays of a pair, as a set -> the pair's rays
+        for A, B in itertools.combinations_with_replacement(spans.values(), 2):
+            unions.setdefault(frozenset(A + B), A + B)
+        walls = (rational_kernel(self.ambient_rank, rays) for rays in unions.values())
+        return tuple(dict.fromkeys(w for w in walls if w))
 
 
 def fan_from_ray_lists(ambient_rank, rays, cones_as_indices) -> Fan:
@@ -516,47 +528,54 @@ def multiplicity(sigma: Cone) -> int:
 
 def simplex_multiplicity(rays) -> int:
     """Index of the span of linearly independent primitive rays inside
-    their saturation: the multiplicity of the simplicial cone on them."""
+    their saturation: the multiplicity of the simplicial cone on them.
+
+    That index is the product of the Smith invariants of the k rays, which
+    is the gcd of their k x k minors: the index in Z^k of the lattice that
+    the columns of the k x n matrix of rays generate."""
     if not rays:
         return 1
-    r = snf(rays)
-    out = 1
-    for d in r.diagonal[: r.rank]:
-        out *= d
+    out = lattice_index(len(rays), list(zip(*rays)))
+    check_invariant(out is not INFINITE, "multiplicity of linearly dependent rays")
     return out
 
 
 def triangulate(sigma: Cone):
-    """Placing triangulation on the ray order as given.
+    """Placing triangulation on the ray order as given, as cones: see
+    triangulate_rays."""
+    return [cone_from_rays(sigma.ambient_rank, rays) for rays in triangulate_rays(sigma)]
 
-    Returns simplicial cones using only sigma's rays, pairwise face-to-face,
-    whose union is sigma.
+
+def triangulate_rays(sigma: Cone):
+    """Placing triangulation on the ray order as given, as ray tuples.
+
+    Returns the rays of simplicial cones using only sigma's rays, pairwise
+    face-to-face, whose union is sigma.  Each ray r is placed in turn: off
+    the span of the rays placed before it, r is added to every piece;
+    in it, a piece is added on r and each facet of a piece lying on a facet
+    of the placed cone that r sees (facet normal negative on r), once per
+    ray set.  Only kernels and facet normals are computed, no cone.
     """
     if sigma.is_simplicial:
-        return [sigma]
-    pieces: list[Cone] = []
-    placed: list[Vec] = []
-    current = None
+        return [sigma.rays]
+    n = sigma.ambient_rank
+    pieces, placed = [], []
     for r in sigma.rays:
         if not placed:
-            pieces = [cone_from_rays(sigma.ambient_rank, [r])]
+            pieces = [(r,)]
         else:
-            current = cone_from_rays(sigma.ambient_rank, placed)
-            if all(dot(w, r) == 0 for w in current.span_normals):
-                # same span: attach r across visible facets
-                new_pieces = list(pieces)
-                for u in current.facet_normals:
-                    if dot(u, r) >= 0:
-                        continue
-                    for piece in pieces:
-                        boundary = [x for x in piece.rays if dot(u, x) == 0]
-                        if len(boundary) == piece.dim - 1:
-                            cand = cone_from_rays(sigma.ambient_rank, boundary + [r])
-                            if cand not in new_pieces:
-                                new_pieces.append(cand)
-                pieces = new_pieces
+            span_normals = rational_kernel(n, placed)
+            if any(dot(w, r) for w in span_normals):
+                pieces = [p + (r,) for p in pieces]
             else:
-                pieces = [cone_from_rays(sigma.ambient_rank, list(p.rays) + [r]) for p in pieces]
+                added = {}  # a new piece's facet opposite r -> the piece
+                for u in _facet_normals(n, placed, n - len(span_normals)).values():
+                    if dot(u, r) < 0:
+                        for p in pieces:
+                            boundary = tuple(x for x in p if dot(u, x) == 0)
+                            if len(boundary) == len(p) - 1:
+                                added.setdefault(frozenset(boundary), boundary + (r,))
+                pieces += added.values()
         placed.append(r)
     return pieces
 
@@ -572,13 +591,6 @@ def triangulate(sigma: Cone):
 # single point has the complementary dimension.  The converse can fail off
 # complete fans: on the cone over a square the wall test rejects (3, 2, 2),
 # which the single-point test by Fourier-Motzkin elimination accepts.
-
-
-def _wall(n: int, A: tuple, B: tuple):
-    """Normals of the wall span(A) + span(B), for tuples of integer vectors
-    A and B, or None when it is all of Q^n.  The normals depend only on the
-    wall."""
-    return rational_kernel(n, A + B) or None
 
 
 def is_generic_diagonal(fan: Fan, v) -> bool:
@@ -645,7 +657,7 @@ def sigma_v_set(fan: Fan, N: Sublattice, v) -> SigmaVResult:
     for cone in fan.cones:
         span = fan.cone_spans[cone]
         if span not in walls:
-            walls[span] = _wall(n, cone.rays, N.basis)
+            walls[span] = rational_kernel(n, cone.rays + N.basis) or None
         normals = walls[span]
         if normals is not None:
             if not any(dot(u, v) for u in normals):

@@ -200,66 +200,40 @@ class Polynomial:
 def divide_exact(poly: Polynomial, form):
     """Exact quotient poly / linear_form(form), or None if not divisible.
 
-    `form` is a primitive integer coefficient vector.  By Gauss's lemma the
-    quotient of an integer polynomial by a primitive form is integral
-    whenever the division is exact over Q.
+    `form` is a primitive integer coefficient vector; x_p is its first
+    variable with a nonzero coefficient c.  Long division in x_p: the terms
+    of the remainder of highest degree k in x_p, divided by c, are the
+    quotient's terms of degree k - 1 in x_p.  By Gauss's lemma the quotient
+    of an integer polynomial by a primitive form is integral whenever the
+    division is exact over Q, so a term that c does not divide, or a
+    remainder of degree 0 in x_p, proves it is not; all of it runs on ints.
     """
-    n = poly.num_vars
     pivot = next((i for i, c in enumerate(form) if c != 0), None)
     if pivot is None:
         raise ValueError("zero form")
     c_piv = form[pivot]
-    rest = list(form)
-    rest[pivot] = 0
-    rest_terms = {}
-    for i, c in enumerate(rest):
-        if c != 0:
-            e = [0] * n
-            e[i] = 1
-            rest_terms[tuple(e)] = Fraction(c)
-
-    R = {e: Fraction(c) for e, c in poly.terms.items()}
-    Q: dict[tuple, Fraction] = {}
-
-    def top_in_pivot(terms):
-        k = -1
-        for e in terms:
-            if e[pivot] > k:
-                k = e[pivot]
-        return k
-
+    rest = [(i, c) for i, c in enumerate(form) if c != 0 and i != pivot]
+    R = dict(poly.terms)
+    Q = {}
     while R:
-        k = top_in_pivot(R)
+        k = max(e[pivot] for e in R)
         if k < 1:
             return None
-        moved = {}
-        for e, c in list(R.items()):
-            if e[pivot] == k:
-                moved[e] = c
-                del R[e]
-        # quotient chunk: (moved / c_piv) with pivot exponent lowered by one
-        chunk = {}
-        for e, c in moved.items():
-            e2 = list(e)
-            e2[pivot] -= 1
-            chunk[tuple(e2)] = c / c_piv
-        for e, c in chunk.items():
-            Q[e] = Q.get(e, 0) + c
-            if Q[e] == 0:
-                del Q[e]
-        # R -= chunk * rest_part_of_form
-        for e1, c1 in chunk.items():
-            for e2, c2 in rest_terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                R[e] = R.get(e, Fraction(0)) - c1 * c2
-                if R[e] == 0:
-                    del R[e]
-    out = {}
-    for e, c in Q.items():
-        if c.denominator != 1:
-            return None
-        out[e] = int(c)
-    return Polynomial(n, out)
+        for e in [e for e in R if e[pivot] == k]:
+            q, r = divmod(R.pop(e), c_piv)
+            if r:
+                return None
+            qe = e[:pivot] + (k - 1,) + e[pivot + 1 :]
+            Q[qe] = q
+            # R -= q * x^qe * (the form without its pivot term)
+            for i, c in rest:
+                e2 = qe[:i] + (qe[i] + 1,) + qe[i + 1 :]
+                c2 = R.get(e2, 0) - q * c
+                if c2:
+                    R[e2] = c2
+                else:
+                    del R[e2]
+    return Polynomial(poly.num_vars, Q)
 
 
 def _primitive_form(coeffs):
@@ -306,9 +280,8 @@ class LinearFraction:
         if num.is_zero():
             self.num, self.den, self.content = num, {}, 1
             return
-        changed = num.degree() > 0  # no primitive linear form divides a nonzero constant
-        while changed:
-            changed = False
+        if num.degree() > 0:  # no primitive linear form divides a nonzero constant
+            # one pass: a form that does not divide num divides no quotient of it
             for form, mult in list(den.items()):
                 while mult > 0:
                     q = divide_exact(num, form)
@@ -316,7 +289,6 @@ class LinearFraction:
                         break
                     num = q
                     mult -= 1
-                    changed = True
                 if mult == 0:
                     del den[form]
                 else:
@@ -401,8 +373,10 @@ class LinearFraction:
         no = other.num * (content // other.content)
         for f, mult in target.items():
             fpoly = Polynomial.linear_form(f)
-            ns = ns * fpoly ** (mult - self.den.get(f, 0))
-            no = no * fpoly ** (mult - other.den.get(f, 0))
+            if mult > self.den.get(f, 0):
+                ns = ns * fpoly ** (mult - self.den.get(f, 0))
+            if mult > other.den.get(f, 0):
+                no = no * fpoly ** (mult - other.den.get(f, 0))
         return LinearFraction(ns + no, target, content)
 
     def __neg__(self):

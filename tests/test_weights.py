@@ -605,9 +605,9 @@ def test_residue_table_work_counts_and_lifetime(monkeypatch):
 
     def counted_triangulate(sigma):
         counts["triangulations"] += 1
-        return tb.triangulate(sigma)
+        return tb.fans.triangulate_rays(sigma)
 
-    monkeypatch.setattr(tb.equivariant, "triangulate", counted_triangulate)
+    monkeypatch.setattr(tb.equivariant, "triangulate_rays", counted_triangulate)
     fan = cube_fan()
     p1 = tb.projective_space_algebra(1, "h")
     h = p1.basis_element("h")
