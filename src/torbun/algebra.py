@@ -16,6 +16,9 @@ class GradedAlgebra:
 
     basis element 0 is the unit; the multiplication table is checked for
     commutativity, associativity and unitality when the algebra is built.
+    The algebra keeps one zero and one unit element, which `zero()` and
+    `one()` return, and each basis pair's product as a tuple of
+    (index, coefficient) in `products[i][j]`, built here once.
     """
 
     def __init__(self, names, degrees, table, top_degree, check=True):
@@ -34,6 +37,10 @@ class GradedAlgebra:
         for (i, j), val in table.items():
             key = (i, j) if i <= j else (j, i)
             self.table[key] = {k: c for k, c in val.items() if c != 0}
+        n = len(self.names)
+        self.products = tuple(tuple(tuple(self.mul_basis(i, j).items()) for j in range(n)) for i in range(n))
+        self._zero = AlgebraElement._trusted(self, {})
+        self._one = AlgebraElement._trusted(self, {0: 1})
         if check:
             self._check()
 
@@ -75,13 +82,40 @@ class GradedAlgebra:
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return self._zero
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {0: 1})
+        return self._one
 
     def basis_element(self, name: str) -> "AlgebraElement":
-        return AlgebraElement(self, {self.index[name]: 1})
+        return AlgebraElement._trusted(self, {self.index[name]: 1})
+
+    def combine(self, terms) -> "AlgebraElement":
+        """The sum of n * a * b over the triples (n, a, b) of terms, with b
+        None for the unit, kept in one coefficient dict and filtered once.
+
+        a and b must be elements of this algebra, by value as for `+`.
+        """
+        out = {}
+        for n, a, b in terms:
+            self._own(a)
+            if b is None:
+                for i, c in a.coeffs.items():
+                    out[i] = out.get(i, 0) + n * c
+            else:
+                self._own(b)
+                _add_product(out, self.products, n, a.coeffs, b.coeffs)
+        return self._element(out)
+
+    def _own(self, el: "AlgebraElement"):
+        if el.algebra is not self and el.algebra != self:
+            raise ValueError("elements of different algebras")
+
+    def _element(self, coeffs: dict) -> "AlgebraElement":
+        """The element of coeffs with its zero coefficients dropped; the
+        shared zero when none is left."""
+        coeffs = {i: c for i, c in coeffs.items() if c}
+        return AlgebraElement._trusted(self, coeffs) if coeffs else self._zero
 
     def basis_of_degree(self, d: int):
         return [i for i, deg in enumerate(self.degrees) if deg == d]
@@ -165,14 +199,39 @@ def projective_space_algebra(n: int, name: str = "h") -> GradedAlgebra:
     return make_free_truncated([(name, 1)], n)
 
 
+def _add_product(out: dict, products, n: int, a: dict, b: dict):
+    """out += n * a * b for coefficient dicts a and b, through the pair
+    products of an algebra; zero coefficients may be left in out."""
+    for i, c in a.items():
+        row = products[i]
+        for j, d in b.items():
+            ncd = n * c * d
+            for k, e in row[j]:
+                out[k] = out.get(k, 0) + ncd * e
+
+
 class AlgebraElement:
-    """Z-linear combination of algebra basis elements."""
+    """Z-linear combination of algebra basis elements.
+
+    Elements are immutable: nothing writes to `coeffs` after construction,
+    so an algebra's zero and unit are shared, and arithmetic may return an
+    operand itself (a + 0 is a, a * 1 is a, 1 * a is a).
+    """
 
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra: GradedAlgebra, coeffs: dict):
         self.algebra = algebra
         self.coeffs = {i: c for i, c in coeffs.items() if c != 0}
+
+    @classmethod
+    def _trusted(cls, algebra: GradedAlgebra, coeffs: dict) -> "AlgebraElement":
+        """An element on coeffs as given, which has no zero coefficient and
+        is not changed afterwards."""
+        el = object.__new__(cls)
+        el.algebra = algebra
+        el.coeffs = coeffs
+        return el
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -187,30 +246,42 @@ class AlgebraElement:
         return all(self.algebra.degrees[i] == d for i in self.coeffs)
 
     def homogeneous_part(self, d: int) -> "AlgebraElement":
-        return AlgebraElement(
-            self.algebra, {i: c for i, c in self.coeffs.items() if self.algebra.degrees[i] == d}
-        )
+        return self.algebra._element({i: c for i, c in self.coeffs.items() if self.algebra.degrees[i] == d})
 
     def _coerce(self, other):
         if isinstance(other, int):
             return AlgebraElement(self.algebra, {0: other})
         if not isinstance(other, AlgebraElement):
             return None
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
-            raise ValueError("elements of different algebras")
+        self.algebra._own(other)
         return other
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if isinstance(other, int):
+            if not other:
+                return self
+            other = AlgebraElement._trusted(self.algebra, {0: other})
+        elif other.__class__ is not AlgebraElement or other.algebra is not self.algebra:
+            other = self._coerce(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs and other.algebra is self.algebra:
+            return other
         coeffs = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            coeffs[i] = coeffs.get(i, 0) + c
-        return AlgebraElement(self.algebra, coeffs)
+            c += coeffs.get(i, 0)
+            if c:
+                coeffs[i] = c
+            else:
+                del coeffs[i]
+        return AlgebraElement._trusted(self.algebra, coeffs) if coeffs else self.algebra._zero
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {i: -c for i, c in self.coeffs.items()})
+        if not self.coeffs:
+            return self
+        return AlgebraElement._trusted(self.algebra, {i: -c for i, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -219,15 +290,24 @@ class AlgebraElement:
         return (-self) + other
 
     def __mul__(self, other):
+        algebra = self.algebra
         if isinstance(other, int):
-            return AlgebraElement(self.algebra, {i: other * c for i, c in self.coeffs.items()})
-        other = self._coerce(other)
+            if other == 1:
+                return self
+            if not other or not self.coeffs:
+                return algebra._zero
+            return AlgebraElement._trusted(algebra, {i: other * c for i, c in self.coeffs.items()})
+        if other.__class__ is not AlgebraElement or other.algebra is not algebra:
+            other = self._coerce(other)
+        if not self.coeffs or not other.coeffs:
+            return algebra._zero
+        if self is algebra._one and other.algebra is algebra:
+            return other
+        if other is algebra._one:
+            return self
         out = {}
-        for i, c in self.coeffs.items():
-            for j, d in other.coeffs.items():
-                for k, e in self.algebra.mul_basis(i, j).items():
-                    out[k] = out.get(k, 0) + c * d * e
-        return AlgebraElement(self.algebra, out)
+        _add_product(out, algebra.products, 1, self.coeffs, other.coeffs)
+        return algebra._element(out)
 
     __rmul__ = __mul__
 
@@ -235,6 +315,8 @@ class AlgebraElement:
         return power(self, k, self.algebra.one())
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, int):
             other = AlgebraElement(self.algebra, {0: other})
         return (
@@ -281,20 +363,21 @@ class MixingMap:
         return out
 
     def delta_extend(self, f: Polynomial) -> AlgebraElement:
-        """Multiplicative extension to polynomials in the characters."""
+        """Multiplicative extension to polynomials in the characters: the
+        sum of c times the product of the images over the terms of f."""
         if f.num_vars != self.lattice_rank:
             raise ValueError("polynomial has wrong number of variables")
-        out = self.algebra.zero()
+        terms = []
         for exps, c in f.terms.items():
-            term = self.algebra.one() * c
-            for i, k in enumerate(exps):
+            term = self.algebra.one()
+            for el, k in zip(self.images, exps):
                 for _ in range(k):
-                    term = term * self.images[i]
-            out = out + term
-        return out
+                    term = term * el
+            terms.append((c, term, None))
+        return self.algebra.combine(terms)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, MixingMap)
             and self.algebra == other.algebra
             and self.images == other.images

@@ -32,7 +32,7 @@ from .algebra import MixingMap
 from .errors import ConeNotInFan, FanNotComplete, ResidueNotPolynomial, check_invariant
 from .fans import Cone, Fan, is_complete, is_face, simplex_multiplicity, triangulate_rays
 from .lattice import dual_basis
-from .polynomials import LinearFraction, Polynomial, _primitive_form, divide_exact
+from .polynomials import LinearFraction, Polynomial, _primitive_form, divide_exact, sum_of_products
 from .weights import MinkowskiWeight, _assert_balanced
 
 
@@ -226,9 +226,11 @@ def _exact_quotient(total: Polynomial, den: dict, content: int):
             total = divide_exact(total, form)
             if total is None:
                 return None
+    if content == 1:
+        return total
     if any(c % content for c in total.terms.values()):
         return None
-    return Polynomial(total.num_vars, {e: c // content for e, c in total.terms.items()})
+    return Polynomial._trusted(total.num_vars, {e: c // content for e, c in total.terms.items()})
 
 
 def residue_sum(f: PiecewisePolynomial, tau: Cone) -> Polynomial:
@@ -241,11 +243,7 @@ def residue_sum(f: PiecewisePolynomial, tau: Cone) -> Polynomial:
     if not is_complete(fan):
         raise FanNotComplete("residue sums need a complete fan")
     den, content, numerators = _residue_table(fan, tau)
-    total = Polynomial.zero(fan.ambient_rank)
-    for sigma, N in numerators:
-        piece = f.pieces[sigma]
-        if not piece.is_zero():
-            total = total + piece * N
+    total = sum_of_products(fan.ambient_rank, ((f.pieces[sigma], N) for sigma, N in numerators))
     out = total if total.is_zero() else _exact_quotient(total, den, content)
     if out is None:
         raise ResidueNotPolynomial(

@@ -337,7 +337,7 @@ class Fan:
                 )
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Fan)
             and self.ambient_rank == other.ambient_rank
             and frozenset(self.cones) == frozenset(other.cones)

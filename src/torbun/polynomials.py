@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 
 def signed_sum(terms) -> str:
@@ -53,8 +54,24 @@ def power(base, k: int, one, check=lambda x: x):
     return out
 
 
+def sum_of_products(num_vars: int, pairs) -> "Polynomial":
+    """The sum of p * q over the pairs (p, q), kept in one term dict and
+    filtered once."""
+    out = {}
+    for p, q in pairs:
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+    return Polynomial._trusted(num_vars, {e: c for e, c in out.items() if c})
+
+
 class Polynomial:
-    """Multivariate polynomial with integer coefficients, stored sparsely."""
+    """Multivariate polynomial with integer coefficients, stored sparsely.
+
+    Polynomials are immutable: nothing writes to `terms` after construction,
+    so arithmetic may return an operand itself (p + 0 is p, p * 1 is p).
+    """
 
     __slots__ = ("num_vars", "terms")
 
@@ -66,15 +83,24 @@ class Polynomial:
                 clean[tuple(exps)] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, num_vars: int, terms: dict) -> "Polynomial":
+        """A polynomial on terms as given: tuple exponents, no zero
+        coefficient, and not changed afterwards."""
+        p = object.__new__(cls)
+        p.num_vars = num_vars
+        p.terms = terms
+        return p
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
-        return cls(num_vars, {})
+        return cls._trusted(num_vars, {})
 
     @classmethod
     def constant(cls, num_vars: int, c: int) -> "Polynomial":
-        return cls(num_vars, {(0,) * num_vars: c})
+        return cls._trusted(num_vars, {(0,) * num_vars: c} if c else {})
 
     @classmethod
     def variable(cls, num_vars: int, i: int) -> "Polynomial":
@@ -122,15 +148,25 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, int):
             other = Polynomial.constant(self.num_vars, other)
+        if not other.terms:
+            return self
+        if not self.terms and other.num_vars == self.num_vars:
+            return other
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return Polynomial(self.num_vars, terms)
+            c += terms.get(e, 0)
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        return Polynomial._trusted(self.num_vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+        if not self.terms:
+            return self
+        return Polynomial._trusted(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -142,13 +178,12 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Polynomial(self.num_vars, {e: other * c for e, c in self.terms.items()})
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Polynomial(self.num_vars, terms)
+            if other == 1 or not self.terms:
+                return self
+            return Polynomial._trusted(self.num_vars, {e: other * c for e, c in self.terms.items()} if other else {})
+        if not self.terms:
+            return self
+        return sum_of_products(self.num_vars, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -156,6 +191,8 @@ class Polynomial:
         return power(self, k, Polynomial.constant(self.num_vars, 1))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, int):
             other = Polynomial.constant(self.num_vars, other)
         return isinstance(other, Polynomial) and self.num_vars == other.num_vars and self.terms == other.terms
@@ -171,9 +208,9 @@ class Polynomial:
         out = Polynomial.zero(nv)
         for e, c in self.terms.items():
             term = Polynomial.constant(nv, c)
-            for i, k in enumerate(e):
+            for sub, k in zip(substitutions, e):
                 if k:
-                    term = term * substitutions[i] ** k
+                    term = term * (sub if k == 1 else sub ** k)
             out = out + term
         return out
 
@@ -233,7 +270,8 @@ def divide_exact(poly: Polynomial, form):
                     R[e2] = c2
                 else:
                     del R[e2]
-    return Polynomial(poly.num_vars, Q)
+    # each quotient exponent is set once, to a nonzero q
+    return Polynomial._trusted(poly.num_vars, Q)
 
 
 def _primitive_form(coeffs):

@@ -33,9 +33,8 @@ class MinkowskiWeight:
         self.mixing = mixing
         self.codim = codim
         vals = {}
-        cone_set = set(fan.cones)
         for cone, el in values.items():
-            if cone not in cone_set:
+            if cone not in fan._containing:
                 raise ValueError(f"value on a cone outside the fan: {cone}")
             if el.is_zero():
                 continue
@@ -130,10 +129,7 @@ def relation_rows(fan: Fan, mixing: MixingMap) -> dict:
 def _sides(W: MinkowskiWeight, relation: Relation):
     """Both sides of `relation` evaluated on W, reading only W's nonzero values."""
     values = W.values
-    lhs = W.algebra.zero()
-    for sigma, coeff in relation.lhs.items():
-        if sigma in values:
-            lhs = lhs + values[sigma] * coeff
+    lhs = W.algebra.combine((coeff, values[sigma], None) for sigma, coeff in relation.lhs.items() if sigma in values)
     return lhs, (relation.rhs * values[relation.tau] if relation.tau in values else W.algebra.zero())
 
 
@@ -259,12 +255,13 @@ def mw_product(W1: MinkowskiWeight, W2: MinkowskiWeight, v) -> MinkowskiWeight:
     v, decided = _certified(fan, v)
     values = {}
     for tau in fan.cones:
-        total = W1.algebra.zero()
+        terms = []
         for s1, s2s in _candidates(fan, tau):
             if s1 in W1.values:
                 for s2 in s2s:
                     if s2 in W2.values and (idx := _pair_index(fan, decided, v, tau, s1, s2)):
-                        total = total + W1.values[s1] * W2.values[s2] * idx
+                        terms.append((idx, W1.values[s1], W2.values[s2]))
+        total = W1.algebra.combine(terms)
         if not total.is_zero():
             values[tau] = total
     product = MinkowskiWeight(fan, W1.algebra, W1.mixing, W1.codim + W2.codim, values)
@@ -275,7 +272,7 @@ def diagonal_class(fan: Fan, tau: Cone, v):
     """Displacement expression for the diagonal class over a cone: ordered
     pairs (sigma1, sigma2, coefficient)."""
     _require_complete(fan)
-    if tau not in set(fan.cones):
+    if tau not in fan._containing:
         raise ValueError("tau not in fan")
     return displacement_pairs(fan, tau, v)
 

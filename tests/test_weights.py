@@ -26,7 +26,7 @@ from conftest import (
     projective_space_rays,
     shear,
 )
-from test_equivariant import fixture_and_ladder_fans, random_compatible_pp
+from test_equivariant import fixture_and_ladder_fans, pl_function, random_compatible_pp
 
 
 @pytest.fixture(scope="module")
@@ -596,6 +596,59 @@ print(sorted(m for m in sys.modules if "polyhedr" in m or "fm_oracle" in m or "f
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert not hasattr(tb, "Polyhedron") and not hasattr(tb.fans, "cone_shift_intersect")
+
+
+def test_warm_arithmetic_work_counts(monkeypatch):
+    # work counts, not wall time: a warm pp_to_mw (with its balancing
+    # postcondition) and one more check_balancing on (P^1)^3 build few base
+    # classes and polynomials, since sums add into one coefficient dict
+    fan = p1_cubed_fan()
+    alg = tb.make_free_truncated([("a1", 1), ("a2", 1)], 2)
+    a1, a2 = alg.basis_element("a1"), alg.basis_element("a2")
+    mix = tb.MixingMap(alg, [a1, a2, a1 - a2])
+    courant = [pl_function(fan, [int(i == k) for i in range(6)]) for k in range(6)]
+    f = tb.PiecewisePolynomial(fan, 2, {
+        s: (courant[0] * courant[2]).pieces[s] - 2 * (courant[4] * courant[5]).pieces[s] + (courant[1] * courant[4]).pieces[s]
+        for s in fan.maximal_cones
+    })
+    W = tb.pp_to_mw(f, mix)  # fills the residue tables and relation rows
+    counts = {"__mul__": 0, "elements": 0, "polynomials": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every element and polynomial is built by __init__ or _trusted
+    AlgebraElement, Polynomial = tb.AlgebraElement, tb.Polynomial
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted("__mul__", AlgebraElement.__mul__))
+    for cls, key in ((AlgebraElement, "elements"), (Polynomial, "polynomials")):
+        monkeypatch.setattr(cls, "__init__", counted(key, cls.__init__))
+        monkeypatch.setattr(cls, "_trusted", classmethod(counted(key, cls._trusted.__func__)))
+    again = tb.pp_to_mw(f, mix)
+    assert tb.check_balancing(again).ok and again == W
+    assert counts["__mul__"] <= 46, counts
+    assert counts["elements"] <= 79, counts
+    assert counts["polynomials"] <= 81, counts
+
+
+def test_weights_on_equal_fans_and_cones_outside():
+    # fans are equal by value: weights on two fans built alike multiply, and
+    # a cone of another fan is refused
+    fan, twin = p1_cubed_fan(), p1_cubed_fan()
+    assert fan is not twin and fan == twin and fan == fan and fan != p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1))
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    mix = tb.MixingMap(p1, [h, p1.zero(), -h])
+    v, _attempts = tb.find_generic_vector(fan, random.Random(0))
+    W1, W2 = tb.poincare_dual_mw(fan, mix, [0]), tb.poincare_dual_mw(twin, mix, [2])
+    assert tb.mw_product(W1, W2, v) == tb.poincare_dual_mw(fan, mix, [0, 2])
+    outside = tb.cone_from_rays(3, [(1, 1, 0)])
+    with pytest.raises(ValueError):
+        tb.MinkowskiWeight(fan, p1, mix, 2, {outside: p1.one()})
+    with pytest.raises(ValueError):
+        tb.diagonal_class(fan, outside, v)
 
 
 def test_residue_table_work_counts_and_lifetime(monkeypatch):
