@@ -31,7 +31,7 @@ from math import lcm
 from .algebra import MixingMap
 from .errors import ConeNotInFan, FanNotComplete, ResidueNotPolynomial, check_invariant
 from .fans import Cone, Fan, is_complete, is_face, simplex_multiplicity, triangulate_rays
-from .lattice import dual_basis
+from .lattice import dual_basis, rational_kernel
 from .polynomials import LinearFraction, Polynomial, _primitive_form, divide_exact, sum_of_products
 from .weights import MinkowskiWeight, _assert_balanced
 
@@ -99,9 +99,10 @@ def check_pp(f: PiecewisePolynomial):
 
 
 def _parameter_forms(tau: Cone):
-    """The coordinates of span(tau) as linear forms in the parameters of
-    tau.sublattice.basis."""
-    basis = tau.sublattice.basis
+    """The coordinates of span(tau) as linear forms in the parameters of a
+    rational basis of it, the kernel of tau.span_normals: a polynomial
+    vanishes on span(tau) whichever basis parametrises it."""
+    basis = rational_kernel(tau.ambient_rank, tau.span_normals)
     return [Polynomial.linear_form([b[i] for b in basis]) for i in range(tau.ambient_rank)]
 
 

@@ -12,9 +12,13 @@ Genericity of displacement vectors is decided against walls computed once
 per fan, one kernel per distinct union of two cones' rays.  Placing
 triangulations work on ray tuples, with kernels and facet normals only,
 and simplex multiplicities are gcds of maximal minors, read off an integer
-echelon form.  What is derived from a cone is kept on the Cone, and what is
-derived from a fan on the Fan; the one module-level memo, of cones by their
-rays, is bounded.  All of it is exact integer and rational linear algebra.
+echelon form.  A cone's dimension and span normals come from one rational
+kernel of its rays, and a Smith form only where its perp has rank >= 2;
+its sublattice is taken on first read, which only that Smith route, star
+fans and subbundle indices make.  What is derived from a cone is
+kept on the Cone, and what is derived from a fan on the Fan; the one
+module-level memo, of cones by their rays, is bounded.  All of it is exact
+integer and rational linear algebra.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .lattice import (
     MEMO_SIZE,
     Sublattice,
     Vec,
+    _rref,
     dot,
     is_saturated,
     is_zero,
@@ -48,8 +53,8 @@ from .lattice import (
     quotient_map,
     rational_kernel,
     rational_rank,
-    rational_span,
     saturated_span,
+    sign_normalize,
     solve_scaled,
     vec_add,
     vec_neg,
@@ -62,24 +67,41 @@ GENERIC_SEARCH_ATTEMPTS = 1000
 class Cone:
     """A strongly convex rational polyhedral cone.
 
-    Data derived from the cone is computed once, at construction, and lives
-    on it: the facet normals, `sublattice`, the saturated sublattice spanned
-    by the extreme rays taken in sorted order (so equal cones have equal
-    bases), its rank `dim`, and `span_normals`, the perp_basis of that
-    sublattice.
+    Data derived from the cone lives on it.  Computed at construction: the
+    facet normals, and `dim` and `span_normals`, a lattice basis of the
+    perp of the span, from one rational kernel of the rays.  The perp is
+    saturated, and a saturated lattice of rank 1 has exactly two bases, the
+    primitive vectors +-m on its line, so a perp of rank 0 or 1 has one
+    basis up to sign: () or the sign-normalised primitive kernel vector.
+    Only a perp of rank >= 2 takes the Smith form route, perp_basis of
+    `sublattice`.  Computed on first read: `sublattice`, the saturated
+    sublattice spanned by the rays taken in sorted order (so equal cones
+    have equal bases).
     """
 
-    __slots__ = ("ambient_rank", "rays", "dim", "facet_normals", "sublattice", "span_normals", "_key", "_hash")
+    __slots__ = ("ambient_rank", "rays", "dim", "facet_normals", "_sublattice", "span_normals", "_key", "_hash")
 
-    def __init__(self, ambient_rank, rays, facet_normals):
+    def __init__(self, ambient_rank, rays, facet_normals, kernel=None):
+        # kernel: rational_kernel of the rays, taken here if not given
         self.ambient_rank = ambient_rank
         self.rays = tuple(rays)
         self.facet_normals = tuple(facet_normals)
         self._key = (ambient_rank, tuple(sorted(self.rays)))
         self._hash = hash(self._key)
-        self.sublattice = saturated_span(ambient_rank, self._key[1])
-        self.dim = self.sublattice.rank
-        self.span_normals = tuple(perp_basis(self.sublattice))
+        self._sublattice = None
+        if kernel is None:
+            kernel = rational_kernel(ambient_rank, self.rays)
+        self.dim = ambient_rank - len(kernel)
+        if len(kernel) <= 1:
+            self.span_normals = tuple(sign_normalize(m) for m in kernel)
+        else:
+            self.span_normals = tuple(perp_basis(self.sublattice))
+
+    @property
+    def sublattice(self) -> Sublattice:
+        if self._sublattice is None:
+            self._sublattice = saturated_span(self.ambient_rank, self._key[1])
+        return self._sublattice
 
     def __eq__(self, other):
         return isinstance(other, Cone) and self._key == other._key
@@ -132,9 +154,12 @@ def cone_from_rays(ambient_rank: int, rays) -> Cone:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _cone_from_primitive_rays(ambient_rank: int, prims: tuple) -> Cone:
-    span_normals = rational_kernel(ambient_rank, prims)
-    facets = _facet_normals(ambient_rank, prims, ambient_rank - len(span_normals))
-    all_normals = list(facets.values()) + list(span_normals)
+    kernel = rational_kernel(ambient_rank, prims)
+    facets = _facet_normals(ambient_rank, prims, ambient_rank - len(kernel))
+    if len(prims) + len(kernel) == ambient_rank:
+        # linearly independent rays: strongly convex, and every ray extreme
+        return Cone(ambient_rank, prims, facets.values(), kernel)
+    all_normals = list(facets.values()) + list(kernel)
     if rational_rank(all_normals) != ambient_rank:
         if ambient_rank > 0:
             raise NotStronglyConvex(f"cone on {prims} contains a line")
@@ -143,7 +168,7 @@ def _cone_from_primitive_rays(ambient_rank: int, prims: tuple) -> Cone:
         vanishing = [u for u in all_normals if dot(u, r) == 0]
         if rational_rank(vanishing) == ambient_rank - 1:
             extreme.append(r)
-    return Cone(ambient_rank, extreme, facets.values())
+    return Cone(ambient_rank, extreme, facets.values(), kernel)
 
 
 def _facet_normals(ambient_rank, prims, d):
@@ -418,8 +443,10 @@ class Fan:
 
     @cached_property
     def cone_spans(self) -> dict:
-        """Each cone's linear span, as the key of lattice.rational_span."""
-        return {c: rational_span(self.ambient_rank, c.rays)[0] for c in self.cones}
+        """Each cone's linear span, keyed by the integer rows of its reduced
+        row echelon form (coprime entries, positive pivots), so equal spans
+        have equal keys."""
+        return {c: tuple(map(tuple, _rref(c.rays)[0])) for c in self.cones}
 
     @cached_property
     def diagonal_walls(self) -> tuple:

@@ -10,7 +10,7 @@ The relations are built once per fan and mixing map and kept on the fan;
 balancing and the presentations read them.
 Products sum over the cone pairs that still meet after a certified generic
 displacement, deciding only pairs where both weights are nonzero, each by
-one rational solve.
+one rational solve, and indexing each by the two cones' span normals.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import BalancingError, FanNotComplete, NonGenericVector, check_invariant
-from .fans import Cone, Fan, is_complete, is_generic_diagonal, sigma_v_set
+from .fans import Cone, Fan, is_complete, is_generic_diagonal, sigma_v_set, simplex_multiplicity
 from .lattice import Sublattice, Vec, dot, lattice_index, solve_scaled
 
 
@@ -227,7 +227,18 @@ def _pair_index(fan: Fan, decided: dict, v: Vec, tau: Cone, s1: Cone, s2: Cone):
     so S_1 and S_2 meet in T, x1 is unique modulo T, and the pair meets iff
     <u, x_i> >= 0 for the facet normals u of s_i that vanish on tau.  The
     solve returns d * x1 in integers, d > 0, so the test is on d * x1 and
-    d * x2 = d * x1 - d * v.  The index is finite because S_1 + S_2 = Q^n.
+    d * x2 = d * x1 - d * v.
+
+    The index [N : N_1 + N_2], N_i = N_s_i, is that of the rows of the
+    perp bases P_i = s_i.span_normals in their saturation, the gcd of their
+    maximal minors.  N_1 meets N_2 in L, saturated of rank dim(tau), so
+    the index is [N/L : N_1/L + N_2/L], the determinant of two saturated
+    lattices of complementary ranks; their perps in the dual lattice
+    perp(L) of N/L are P_1 and P_2.  The maximal minors of a saturated
+    lattice and the complementary ones of its perp agree up to sign
+    (Jacobi's theorem on the minors of a unimodular matrix and of its
+    inverse), so by Laplace expansion the index is |det(P_1, P_2)| in a
+    basis of perp(L): the gcd above.  It is finite as S_1 + S_2 = Q^n.
     """
     key = (tau, s1, s2)
     if key not in decided:
@@ -241,7 +252,7 @@ def _pair_index(fan: Fan, decided: dict, v: Vec, tau: Cone, s1: Cone, s2: Cone):
             x2 = [a - d * b for a, b in zip(x1, v)]
             if all(dot(u, x) >= 0 for s, x in ((s1, x1), (s2, x2)) for u in s.facet_normals
                    if not any(dot(u, r) for r in tau.rays)):
-                index = lattice_index(fan.ambient_rank, s1.sublattice.basis + s2.sublattice.basis)
+                index = simplex_multiplicity(rows)
         decided[key] = index
     return decided[key]
 

@@ -775,9 +775,12 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
         return dataclasses.replace(r, U=tuple(tuple(-a for a in row) for row in r.U))
 
     monkeypatch.setattr(torbun.lattice, "_snf_ext", broken)
-    torbun.lattice._snf_cached.cache_clear()
-    assert main(["check-fan", F1_BUNDLE]) == 3
-    assert "Smith normal form" in capsys.readouterr().out
+    # both take a Smith form: rays of the cone over a square have a perp of
+    # rank 2, and a subbundle's indices read cone lattices
+    for argv in (["check-fan", str(FIXTURES / "cone_over_square.json")], ["subbundle", str(FIXTURES / "p1p1_skew.json")]):
+        torbun.lattice._snf_cached.cache_clear()
+        assert main(argv) == 3, argv
+        assert "Smith normal form" in capsys.readouterr().out, argv
     torbun.lattice._snf_cached.cache_clear()
 
 

@@ -2,26 +2,39 @@
 
 Each oracle below is the earlier, straightforward form of a library routine:
 the placing triangulation built from full Cones, one wall kernel per pair of
-span representatives, simplex multiplicities from a Smith form, and exact
-division over Fraction.  The library's forms must give identical results,
-down to ray order, piece order and wall order.
+span representatives, simplex multiplicities from a Smith form, exact
+division over Fraction, cone bases from Smith forms, and displacement
+indices and wall parameters from the cones' sublattices.  The library's
+forms must give identical results, down to ray order, piece order and wall
+order.
 """
 
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import torbun as tb
+from torbun.cli import main
 from torbun.fans import triangulate_rays
 from torbun.lattice import dot, rational_rank
 from torbun.polynomials import LinearFraction, Polynomial, divide_exact
 
-from conftest import cube_fan, p1_cubed_fan, projective_space_fan
+from conftest import (
+    FIXTURES,
+    P1_CUBED_RAYS,
+    cube_fan,
+    p1_cubed_fan,
+    projective_space_fan,
+    projective_space_rays,
+    shear,
+)
 from fm_oracle import Polyhedron
-from test_equivariant import fixture_and_ladder_fans
+from test_equivariant import all_pairs_check_pp, fixture_and_ladder_fans, pl_function, random_compatible_pp
+from test_fans import clear_torbun_memos
 
 # ---------------------------------------------------------------------------
 # the oracles
@@ -281,6 +294,121 @@ def test_linear_fraction_matches_repeated_pass_oracle():
     assert cancelled > 100
 
 
+def smith_cone_basis(cone):
+    """(dim, span_normals, sublattice basis) by Smith forms, from the
+    saturated span of the sorted rays."""
+    L = tb.saturated_span(cone.ambient_rank, sorted(cone.rays))
+    return L.rank, tuple(tb.perp_basis(L)), L.basis
+
+
+def smith_pair_index(s1, s2):
+    """[N : N_s1 + N_s2] from the two cones' sublattices."""
+    return tb.lattice_index(s1.ambient_rank, s1.sublattice.basis + s2.sublattice.basis)
+
+
+def cone_basis_fans():
+    """The fixtures, the 12 sheared (P^1)^3, the cube under x_1 += x_2 and
+    x_1 -= x_2, P^4 and sheared P^4, and (P^1)^4."""
+    return fixture_and_ladder_fans() + [cube_fan(-1), projective_space_fan(4, shear(projective_space_rays(4), 0, 1, 1))]
+
+
+def seeded_ray_sets(rng, count):
+    """Ray sets in Z^1..Z^4 spanning subspaces of every rank: random
+    integer combinations of 1 to n random generators in Z^n."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        k = rng.randint(1, n + 2)
+        rays = [tuple(sum(rng.randint(-2, 2) * g[i] for g in gens) for i in range(n)) for _ in range(k)]
+        rays = [r for r in rays if any(r)]
+        if rays:
+            out.append((n, rays))
+    return out
+
+
+def test_cone_bases_match_smith_route():
+    # dim and span_normals come from one kernel when the perp has rank <= 1,
+    # and the sublattice on first read; all must be the Smith route's
+    ranks = Counter()
+    cones = [c for fan in cone_basis_fans() for c in fan.cones] + [tb.zero_cone(n) for n in range(5)]
+    for n, rays in seeded_ray_sets(random.Random(37), 1500):
+        try:
+            cones.append(tb.cone_from_rays(n, rays))
+        except tb.NotStronglyConvex:
+            continue
+    for cone in cones:
+        dim, span_normals = cone.dim, cone.span_normals
+        assert (dim, span_normals, cone.sublattice.basis) == smith_cone_basis(cone), cone
+        ranks[cone.ambient_rank, len(span_normals)] += 1
+    assert all(ranks[n, k] for n in range(1, 5) for k in range(n + 1)), ranks
+
+
+def test_pair_index_from_perp_bases_matches_sublattices():
+    # every candidate pair a certified vector decides on the complete fans,
+    # then seeded random pairs of saturated sublattices spanning Q^n
+    decided = 0
+    for fan in cone_basis_fans():
+        if not (tb.is_complete(fan) and fan.ambient_rank):
+            continue
+        v, _attempts = tb.find_generic_vector(fan, random.Random(0))
+        for tau in fan.cones:
+            tb.displacement_pairs(fan, tau, v)
+        for (tau, s1, s2), index in fan.displacement_table[1].items():
+            if index is not None:
+                assert index == smith_pair_index(s1, s2), (fan, s1, s2)
+                decided += 1
+    assert decided > 1000, decided
+    rng = random.Random(41)
+    indices = Counter()
+    while sum(indices.values()) < 5000:
+        # two proper subspaces of Q^n, 2 <= n <= 4, of ranks adding up to >= n
+        n = rng.randint(2, 4)
+        k1 = rng.randint(1, n - 1)
+        sides = []
+        for k in (k1, rng.randint(n - k1, n - 1)):
+            rays = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
+            if any(not any(r) for r in rays) or rational_rank(rays) != k:
+                break
+            sides.append(tb.cone_from_rays(n, rays))
+        if len(sides) < 2 or rational_rank(sides[0].rays + sides[1].rays) != n:
+            continue
+        s1, s2 = sides
+        index = tb.fans.simplex_multiplicity(s1.span_normals + s2.span_normals)
+        assert index == smith_pair_index(s1, s2), (s1, s2)
+        indices[len(s1.span_normals), len(s2.span_normals), index > 1] += 1
+    assert all(indices[k1, k2, True] > 30 for k1 in (1, 2, 3) for k2 in (1, 2, 3) if k1 + k2 <= 4), indices
+
+
+def test_check_pp_on_non_complete_fans_matches_sublattice_oracle():
+    # the all-pairs fallback takes its parameters from a rational basis of
+    # each common face's span; the oracle from the face's sublattice.  Each
+    # complete fan loses one maximal cone, so every pair is scanned; the
+    # cone over a square is not complete already
+    rng = random.Random(43)
+    checked = Counter()
+    for fan in cone_basis_fans():
+        if fan.ambient_rank == 0:
+            continue
+        degree = rng.randint(1, 3)
+        f = random_compatible_pp(fan, rng, degree)
+        dropped = rng.choice(fan.maximal_cones)
+        keys = [fan.cone_key(c) for c in fan.maximal_cones if c != dropped]
+        sub = tb.fan_from_ray_lists(fan.ambient_rank, fan.rays, keys) if tb.is_complete(fan) else fan
+        assert not tb.is_complete(sub)
+        g = tb.PiecewisePolynomial(sub, degree, {c: f.pieces[c] for c in sub.maximal_cones})
+        cases = [g]
+        for _ in range(3):
+            sigma = rng.choice(sub.maximal_cones)
+            bump = Polynomial.linear_form([rng.randint(-3, 3) for _ in range(sub.ambient_rank)]) ** degree
+            cases.append(tb.PiecewisePolynomial(sub, degree, {**g.pieces, sigma: g.pieces[sigma] + bump}))
+        for h in cases:
+            violations = tb.check_pp(h)
+            assert violations == all_pairs_check_pp(h), sub
+            checked["incompatible" if violations else "compatible"] += 1
+    assert min(checked.values()) > 15, checked
+
+
 # ---------------------------------------------------------------------------
 # work counts
 
@@ -323,3 +451,70 @@ def test_cold_residue_tables_build_no_cone_and_no_smith_form(monkeypatch):
     tb.equivariant._residue_table(fan, fan.cones[0])
     assert len(fan.residue_tables) == len(fan.cones)
     assert counts == {"cones": 0, "smith forms": 0}
+
+
+def cold_ladder_operation(fan, divisors=None, ray_values=None):
+    """One cold rank-ladder operation on a built fan: certify a vector, then
+    multiply two Poincare duals of divisors, or two limits of piecewise
+    linear functions with these ray values."""
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    mix = tb.MixingMap(p1, [(h, p1.zero(), -h)[i % 3] for i in range(fan.ambient_rank)])
+    v, _attempts = tb.find_generic_vector(fan, random.Random(0))
+    if divisors is not None:
+        W1, W2 = (tb.poincare_dual_mw(fan, mix, [i]) for i in divisors)
+    else:
+        W1, W2 = (tb.pp_to_mw(pl_function(fan, values), mix) for values in ray_values)
+    return tb.mw_product(W1, W2, v)
+
+
+def test_cold_operation_smith_form_counts(monkeypatch, capsys):
+    # Smith forms only for cone lattices whose perp has rank >= 2: none for
+    # the displacement indices, the wall parameters or a rank-2 fan
+    snf_ext = tb.lattice._snf_ext
+    calls = Counter()
+
+    def counted_snf_ext(A):
+        calls["snf"] += 1
+        return snf_ext(A)
+
+    monkeypatch.setattr(tb.lattice, "_snf_ext", counted_snf_ext)
+    cube_values = [[a + 1 for a, _, _ in cube_fan().rays], [b - c + 2 for _, b, c in cube_fan().rays]]
+    rungs = [
+        (lambda i=i, j=j, s=s: p1_cubed_fan(shear(P1_CUBED_RAYS, i, j, s)), {"divisors": (0, 2)}, 6)
+        for i, j in itertools.permutations(range(3), 2) for s in (1, -1)
+    ]
+    rungs += [(lambda s=s: cube_fan(s), {"ray_values": cube_values}, 8) for s in (1, -1)]
+    rungs += [(lambda: projective_space_fan(4, shear(projective_space_rays(4), 0, 1, 1)), {"divisors": (0, 1)}, 21)]
+    for build, weights, bound in rungs:
+        clear_torbun_memos()
+        calls.clear()
+        fan = build()
+        cold_ladder_operation(fan, **weights)
+        assert calls["snf"] <= bound, (fan.rays, calls)
+    clear_torbun_memos()
+    calls.clear()
+    assert main(["check-fan", str(FIXTURES / "f1_bundle.json")]) == 0
+    capsys.readouterr()
+    assert calls["snf"] == 0, calls
+
+
+def test_cone_sublattice_is_computed_once(monkeypatch):
+    saturated_span = tb.fans.saturated_span
+    calls = Counter()
+
+    def counted_saturated_span(n, rays):
+        calls["saturated_span"] += 1
+        return saturated_span(n, rays)
+
+    monkeypatch.setattr(tb.fans, "saturated_span", counted_saturated_span)
+    # a perp of rank 1 leaves the sublattice to the first read; a perp of
+    # rank 2 reads it at construction
+    for rays, at_init in (([(1, 2, 0), (0, 1, 3)], 0), ([(2, 1, -1)], 1)):
+        tb.fans._cone_from_primitive_rays.cache_clear()
+        cone = tb.cone_from_rays(3, rays)
+        assert calls["saturated_span"] == at_init
+        first = cone.sublattice
+        assert cone.sublattice is first and tb.cone_sublattice(cone) is first
+        assert calls["saturated_span"] == 1 and first.basis == smith_cone_basis(cone)[2]
+        calls.clear()
