@@ -339,7 +339,14 @@ class AlgebraElement:
 
 
 class MixingMap:
-    """Linear map from lattice characters into degree-one base classes."""
+    """Linear map from lattice characters into degree-one base classes.
+
+    `delta_extend` keeps the image of each monomial it meets, exponents ->
+    element, built on first use.  A monomial above the algebra's top degree
+    maps to zero at once and is not kept: every image has degree one or is
+    zero, and the products of a graded algebra keep degrees.  So the memo
+    holds at most the monomials up to the top degree.
+    """
 
     def __init__(self, algebra: GradedAlgebra, images):
         self.algebra = algebra
@@ -349,6 +356,7 @@ class MixingMap:
                 raise ValueError("image in wrong algebra")
             if not el.is_zero() and not el.is_homogeneous_of(1):
                 raise ValueError("images must be homogeneous of degree one")
+        self._monomial_images = {}
 
     @property
     def lattice_rank(self) -> int:
@@ -367,12 +375,18 @@ class MixingMap:
         sum of c times the product of the images over the terms of f."""
         if f.num_vars != self.lattice_rank:
             raise ValueError("polynomial has wrong number of variables")
+        memo, top = self._monomial_images, self.algebra.top_degree
         terms = []
         for exps, c in f.terms.items():
-            term = self.algebra.one()
-            for el, k in zip(self.images, exps):
-                for _ in range(k):
-                    term = term * el
+            term = memo.get(exps)
+            if term is None:
+                if sum(exps) > top:
+                    continue
+                term = self.algebra.one()
+                for el, k in zip(self.images, exps):
+                    for _ in range(k):
+                        term = term * el
+                memo[exps] = term
             terms.append((c, term, None))
         return self.algebra.combine(terms)
 

@@ -7,7 +7,7 @@ image of sigma in the star of tau.  Each such simplex P adds the reciprocal
 of mult(P)/mult(T) times the product of its dual-basis characters at the
 rays outside T.  The triangulation is taken on ray tuples and each
 multiplicity is the gcd of maximal minors, so no cone and no Smith form is
-built.
+built; the triangulation is kept on the Cone object.
 
 Residue sums of a compatible piecewise polynomial are always genuine
 polynomials; their images under the twisting map assemble into a balanced
@@ -17,9 +17,9 @@ over the e(sigma, tau) with the lcm of their contents, and the polynomials
 N_sigma = D_tau * e(sigma, tau), built once from one triangulation of each
 maximal cone.  A residue sum is then one polynomial, sum of f_sigma *
 N_sigma, divided exactly by D_tau, or zero at once when that sum is zero;
-`cone_equivariant_multiplicity` keeps the per-call route.  Compatibility
-on a complete fan is checked across the walls the fan keeps, and pair by
-pair only when some wall disagrees.
+`cone_equivariant_multiplicity` sums over the simplices on each call.
+Compatibility on a complete fan is checked across the walls the fan keeps,
+and pair by pair only when some wall disagrees.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import MixingMap
-from .errors import ConeNotInFan, FanNotComplete, ResidueNotPolynomial, check_invariant
+from .errors import ConeNotInFan, FanNotComplete, InvariantViolation, ResidueNotPolynomial
 from .fans import Cone, Fan, is_complete, is_face, simplex_multiplicity, triangulate_rays
 from .lattice import dual_basis, rational_kernel
 from .polynomials import LinearFraction, Polynomial, _primitive_form, divide_exact, sum_of_products
@@ -42,10 +42,9 @@ class PiecewisePolynomial:
     def __init__(self, fan: Fan, degree: int, pieces):
         self.fan = fan
         self.degree = degree
-        maxes = set(fan.maximal_cones)
         clean = {}
         for cone, poly in pieces.items():
-            if cone not in maxes:
+            if fan._containing.get(cone) != [cone]:
                 raise ValueError("pieces must be indexed by maximal cones")
             if poly.num_vars != fan.ambient_rank:
                 raise ValueError("piece has wrong number of variables")
@@ -129,16 +128,23 @@ def _simplices(sigma: Cone):
     """sigma's triangulation: per simplex its rays, its multiplicity, and
     its dual basis in _primitive_form, as (factor, form) per ray.
 
-    Not cached on the cone: cone equality ignores ray order, and the
-    triangulation depends on it (e(sigma, tau) does not, which the tests
-    rely on).
+    Kept on the Cone object, built on first use as an immutable tuple.  The
+    triangulation depends on the ray order, and cone equality ignores it;
+    but one Cone object never changes its ray order, and
+    `fans._cone_from_primitive_rays` memoises cones by their ordered ray
+    tuple, so the kept triangulation is the one this object would give
+    again.  Equal cones with different ray orders are different objects and
+    keep their own triangulations; e(sigma, tau) does not depend on which
+    (the tests check it).
     """
-    if sigma.dim != sigma.ambient_rank:
-        raise ValueError("expected a full-dimensional cone")
-    return [
-        (rays, simplex_multiplicity(rays), [_primitive_form(u) for u in dual_basis(rays)])
-        for rays in triangulate_rays(sigma)
-    ]
+    if sigma._simplices is None:
+        if sigma.dim != sigma.ambient_rank:
+            raise ValueError("expected a full-dimensional cone")
+        sigma._simplices = tuple(
+            (rays, simplex_multiplicity(rays), tuple(_primitive_form(u) for u in dual_basis(rays)))
+            for rays in triangulate_rays(sigma)
+        )
+    return sigma._simplices
 
 
 def _multiplicity(simplices, tau: Cone) -> LinearFraction:
@@ -170,7 +176,7 @@ def _multiplicity(simplices, tau: Cone) -> LinearFraction:
 
 def cone_equivariant_multiplicity(sigma: Cone, tau: Cone) -> LinearFraction:
     """Equivariant multiplicity of a full-dimensional cone along a face,
-    from a fresh triangulation of sigma."""
+    from the triangulation kept on sigma."""
     if not is_face(tau, sigma):
         raise ValueError("tau must be a face of sigma")
     return _multiplicity(_simplices(sigma), tau)
@@ -180,15 +186,15 @@ def equivariant_multiplicity(fan: Fan, sigma: Cone, tau: Cone) -> LinearFraction
     """e(sigma, tau) for a maximal cone of a complete fan and a face of it."""
     if not is_complete(fan):
         raise FanNotComplete("equivariant multiplicities are taken in a complete fan")
-    if sigma not in set(fan.maximal_cones):
+    if fan._containing.get(sigma) != [sigma]:
         raise ValueError("sigma must be a maximal cone of the fan")
     return cone_equivariant_multiplicity(sigma, tau)
 
 
 def _residue_table(fan: Fan, tau: Cone):
     """tau's entry of fan.residue_tables, which is built on first use for
-    every cone of the (complete) fan at once, triangulating each maximal
-    cone once for all its faces.
+    every cone of the (complete) fan at once, from the triangulation kept
+    on each maximal cone, for all its faces.
 
     An entry is (den, content, numerators): D_tau = content * prod form^k
     over den = {form: k}, every form at its highest power over the
@@ -250,11 +256,13 @@ def residue_sum(f: PiecewisePolynomial, tau: Cone) -> Polynomial:
         raise ResidueNotPolynomial(
             f"residue at {fan.cone_key(tau)} is {LinearFraction(total, den, content).render()}"
         )
+    # the invariant messages are built only when a check fails
     want = f.degree - fan.codim(tau)
     if want < 0:
-        check_invariant(out.is_zero(), f"residue at {fan.cone_key(tau)} is nonzero below degree 0")
-    else:
-        check_invariant(out.is_homogeneous_of(want), f"residue at {fan.cone_key(tau)} is not of degree {want}")
+        if not out.is_zero():
+            raise InvariantViolation(f"residue at {fan.cone_key(tau)} is nonzero below degree 0")
+    elif not out.is_homogeneous_of(want):
+        raise InvariantViolation(f"residue at {fan.cone_key(tau)} is not of degree {want}")
     return out
 
 

@@ -76,10 +76,14 @@ class Cone:
     Only a perp of rank >= 2 takes the Smith form route, perp_basis of
     `sublattice`.  Computed on first read: `sublattice`, the saturated
     sublattice spanned by the rays taken in sorted order (so equal cones
-    have equal bases).
+    have equal bases); and `_simplices`, None until
+    `equivariant._simplices` first triangulates a full-dimensional cone,
+    then that immutable tuple, on this object's ray order.
     """
 
-    __slots__ = ("ambient_rank", "rays", "dim", "facet_normals", "_sublattice", "span_normals", "_key", "_hash")
+    __slots__ = (
+        "ambient_rank", "rays", "dim", "facet_normals", "_sublattice", "span_normals", "_key", "_hash", "_simplices"
+    )
 
     def __init__(self, ambient_rank, rays, facet_normals, kernel=None):
         # kernel: rational_kernel of the rays, taken here if not given
@@ -89,6 +93,7 @@ class Cone:
         self._key = (ambient_rank, tuple(sorted(self.rays)))
         self._hash = hash(self._key)
         self._sublattice = None
+        self._simplices = None
         if kernel is None:
             kernel = rational_kernel(ambient_rank, self.rays)
         self.dim = ambient_rank - len(kernel)
@@ -291,7 +296,11 @@ class Fan:
     the dual character m and the nonzero <m, u> over the other rays, for
     any mixing map; and `walls`, None until `equivariant.check_pp` first
     checks a complete fan, then each cone of dimension n - 1 >= 1 with its
-    two maximal cones and the parameter forms of its span.
+    two maximal cones and the parameter forms of its span;
+    `pair_candidates`, which `weights._candidates` fills one cone tau at a
+    time: tau -> the candidate pairs of the displacement rule at tau.
+    Built at construction: the face lattice, and each cone's `cone_key`
+    with the cone of each key.
     Smoothness and completeness are decided once per fan too.
     """
 
@@ -316,19 +325,21 @@ class Fan:
             for r in c.rays:
                 if r not in self._ray_index:
                     raise ValueError(f"cone ray {r} missing from fan ray list")
+        self._keys = {c: tuple(sorted(self._ray_index[r] for r in c.rays)) for c in faces}
         self.cones = tuple(sorted(faces, key=self.cone_sort_key))
         self._faces = faces
         self._containing = {c: [] for c in self.cones}
         for s in self.cones:
             for t in faces[s]:
                 self._containing[t].append(s)
-        self._by_key = {self.cone_key(c): c for c in self.cones}
+        self._by_key = {self._keys[c]: c for c in self.cones}
         self.maximal_cones = [c for c in self.cones if self._containing[c] == [c]]
         self.displacement_table = None
         self.relation_rows = None
         self.residue_tables = {}
         self.dual_characters = {}
         self.walls = None
+        self.pair_candidates = {}
         self._relation_normals = {}
         if validate:
             self._validate()
@@ -336,7 +347,9 @@ class Fan:
     # -- bookkeeping -----------------------------------------------------------
 
     def cone_key(self, cone: Cone):
-        return tuple(sorted(self._ray_index[r] for r in cone.rays))
+        """The sorted indices of the cone's rays in the fan's ray list."""
+        key = self._keys.get(cone)
+        return key if key is not None else tuple(sorted(self._ray_index[r] for r in cone.rays))
 
     def cone_sort_key(self, cone: Cone):
         return (cone.dim, self.cone_key(cone))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
-from .errors import BalancingError, FanNotComplete, NonGenericVector, check_invariant
+from .errors import BalancingError, FanNotComplete, InvariantViolation, NonGenericVector
 from .fans import Cone, Fan, is_complete, is_generic_diagonal, sigma_v_set, simplex_multiplicity
 from .lattice import Sublattice, Vec, dot, lattice_index, solve_scaled
 
@@ -109,7 +109,8 @@ def relation_at(fan: Fan, mixing: MixingMap, tau: Cone, m) -> Relation:
     lhs = {}
     for sigma, (r, k) in fan.relation_normals(tau).items():
         c, rest = divmod(dot(m, r), k)
-        check_invariant(rest == 0, f"<m, r> is not a multiple of {k} for m={tuple(m)}, r={r}")
+        if rest:  # the message is built only when the check fails
+            raise InvariantViolation(f"<m, r> is not a multiple of {k} for m={tuple(m)}, r={r}")
         if c != 0:
             lhs[sigma] = c
     return Relation(tau=tau, m=m, lhs=lhs, rhs=mixing.delta(m))
@@ -143,18 +144,24 @@ def check_balancing(W: MinkowskiWeight) -> BalancingReport:
     """Verify the balancing condition on a basis of perp(tau) for every tau.
 
     Both sides at tau vanish unless W is nonzero at tau or at a cone one
-    dimension up, so only those tau are evaluated, in fan order.
+    dimension up, so only those tau are evaluated, in fan order.  Each
+    relation is evaluated as lhs - rhs in one sum, and both sides
+    separately only where that difference is nonzero.
     """
     fan = W.fan
     _require_complete(fan)
-    values = W.values
+    algebra, values = W.algebra, W.values
     rows = relation_rows(fan, W.mixing)
     violations = []
     for tau in fan.cones:
-        if tau in values or not values.keys().isdisjoint(fan.relation_normals(tau)):
+        at_tau = values.get(tau)
+        if at_tau is not None or not values.keys().isdisjoint(fan.relation_normals(tau)):
             for relation in rows[tau]:
-                lhs, rhs = _sides(W, relation)
-                if lhs != rhs:
+                terms = [(coeff, values[sigma], None) for sigma, coeff in relation.lhs.items() if sigma in values]
+                if at_tau is not None:
+                    terms.append((-1, relation.rhs, at_tau))
+                if not algebra.combine(terms).is_zero():
+                    lhs, rhs = _sides(W, relation)
                     violations.append((tau, relation.m, lhs, rhs))
     return BalancingReport(ok=not violations, violations=violations)
 
@@ -211,10 +218,14 @@ def _certified(fan: Fan, v):
 
 def _candidates(fan: Fan, tau: Cone):
     """Each cone s1 containing tau with the cones s2 containing tau of dimension
-    n + dim(tau) - dim(s1), i.e. codim(s1) + codim(s2) = codim(tau); in fan order."""
-    containing = fan.cones_containing(tau)
-    by_dim = {d: [s for s in containing if s.dim == d] for d in range(tau.dim, fan.ambient_rank + 1)}
-    return [(s1, by_dim[fan.ambient_rank + tau.dim - s1.dim]) for s1 in containing]
+    n + dim(tau) - dim(s1), i.e. codim(s1) + codim(s2) = codim(tau); in fan order.
+    Kept in `fan.pair_candidates`, built on first use for each tau."""
+    table = fan.pair_candidates.get(tau)
+    if table is None:
+        containing = fan.cones_containing(tau)
+        by_dim = {d: tuple(s for s in containing if s.dim == d) for d in range(tau.dim, fan.ambient_rank + 1)}
+        table = fan.pair_candidates[tau] = tuple((s1, by_dim[fan.ambient_rank + tau.dim - s1.dim]) for s1 in containing)
+    return table
 
 
 def _pair_index(fan: Fan, decided: dict, v: Vec, tau: Cone, s1: Cone, s2: Cone):

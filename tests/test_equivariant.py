@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -380,6 +384,42 @@ def test_residue_content_that_does_not_divide():
     with pytest.raises(tb.ResidueNotPolynomial) as info:
         tb.residue_sum(f, z)
     assert str(info.value) == "residue at () is -1 / 2"
+
+
+WRONG_DEGREE_RESIDUES = """
+import sys
+import torbun as tb
+from torbun.polynomials import Polynomial
+
+fan = tb.fan_from_ray_lists(2, [(1, 0), (1, 1), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+f = tb.PiecewisePolynomial(fan, 1, {c: Polynomial.variable(2, 0) for c in fan.maximal_cones})
+# every residue sum comes out as x1^2, whatever its expected degree
+tb.equivariant.sum_of_products = lambda num_vars, pairs: Polynomial.constant(num_vars, 1)
+tb.equivariant._exact_quotient = lambda total, den, content: Polynomial.variable(2, 0) ** 2
+print(sys.flags.optimize)
+for key in ([], [1], [0, 1]):
+    try:
+        tb.residue_sum(f, fan.cone_by_ray_indices(key))
+    except tb.InvariantViolation as exc:
+        print(exc)
+"""
+
+
+def test_residue_degree_invariant_fires_under_optimize():
+    # the degree checks of residue_sum build their messages only on failure;
+    # they still raise, naming the cone, in a process under python -O
+    src = str(Path(tb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_DEGREE_RESIDUES], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "1",
+        "residue at () is nonzero below degree 0",
+        "residue at (1,) is not of degree 0",
+        "residue at (0, 1) is not of degree 1",
+    ]
 
 
 def test_residue_polynomial_on_random_compatible(f1_fan):

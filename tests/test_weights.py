@@ -168,6 +168,84 @@ def test_balancing_matches_per_call_relations():
     assert min(checked.values()) > 100, checked
 
 
+def two_sided_balancing(W):
+    """The violations by the two-sided route, the oracle of the one-pass
+    check: the shared rows where W lives, with both sides of every relation
+    evaluated apart and compared."""
+    fan, values = W.fan, W.values
+    rows = tb.weights.relation_rows(fan, W.mixing)
+    violations = []
+    for tau in fan.cones:
+        if tau in values or not values.keys().isdisjoint(fan.relation_normals(tau)):
+            for relation in rows[tau]:
+                lhs = W.algebra.combine((c, values[s], None) for s, c in relation.lhs.items() if s in values)
+                rhs = relation.rhs * values[tau] if tau in values else W.algebra.zero()
+                if lhs != rhs:
+                    violations.append((tau, relation.m, lhs, rhs))
+    return violations
+
+
+def test_one_pass_balancing_matches_two_sided_route():
+    # limit weights, and copies with one value perturbed at each cone of the
+    # support and next to it, on the fixture fans and the rank-ladder fans:
+    # the one-pass check lists exactly the violations of the two-sided route
+    rng = random.Random(29)
+    base = tb.make_free_truncated([("a1", 1), ("a2", 1)], 2)
+    images = [base.basis_element("a1"), base.basis_element("a2")]
+    images += [images[0] - images[1], base.zero()]
+    fans = list(dict.fromkeys(parse_problem(path.read_text()).fan for path in sorted(FIXTURES.glob("*.json"))))
+    fans += [p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1)), cube_fan(), cube_fan(1)]
+    fans.append(projective_space_fan(4, shear(projective_space_rays(4), 0, 1, 1)))
+    checked = {"balanced": 0, "unbalanced": 0}
+    for fan in filter(tb.is_complete, fans):
+        mix = tb.MixingMap(base, [rng.choice(images) for _ in range(fan.ambient_rank)])
+        for degree in range(1, 4) if fan.ambient_rank else (0,):
+            W = tb.pp_to_mw(random_compatible_pp(fan, rng, degree), mix)
+            cones = sorted(W.values, key=fan.cone_sort_key) + next_to(fan, W.values)
+            for V in [W] + [V for V in (perturbed(W, c, rng) for c in cones) if V is not None]:
+                want = two_sided_balancing(V)
+                assert tb.check_balancing(V).violations == want, fan
+                checked["unbalanced" if want else "balanced"] += 1
+    assert checked["unbalanced"] > 200 and checked["balanced"] > 20, checked
+
+
+def test_balancing_error_messages_match_two_sided_route(monkeypatch):
+    # the postconditions of the three weight constructors, with the inner
+    # result made unbalanced, raise the message of the two-sided route's
+    # first violation
+    fan = p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1))
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    mix = tb.MixingMap(p1, [h, p1.zero(), -h])
+    v, _attempts = tb.find_generic_vector(fan, random.Random(0))
+    W1, W2 = tb.poincare_dual_mw(fan, mix, [0]), tb.poincare_dual_mw(fan, mix, [2])
+    f = pl_function(fan, [1, 0, 2, 0, 0, 1])
+    rng = random.Random(4)
+    real, made = tb.MinkowskiWeight, []
+
+    def unbalanced(fan, algebra, mixing, codim, values):
+        W = real(fan, algebra, mixing, codim, values)
+        made.append(next(V for V in (perturbed(W, c, rng) for c in fan.cones if c.dim) if V is not None))
+        return made[-1]
+
+    for module in (tb.weights, tb.equivariant, tb.presentations):
+        monkeypatch.setattr(module, "MinkowskiWeight", unbalanced)
+    calls = {
+        "mw_product": lambda: tb.mw_product(W1, W2, v),
+        "pp_to_mw": lambda: tb.pp_to_mw(f * f, mix),
+        "poincare_dual_mw": lambda: tb.poincare_dual_mw(fan, mix, [1, 4]),
+    }
+    for context, call in calls.items():
+        made.clear()
+        with pytest.raises(tb.BalancingError) as info:
+            call()
+        (V,) = made
+        tau, m, lhs, rhs = two_sided_balancing(V)[0]
+        assert str(info.value) == (
+            f"{context} produced an unbalanced weight at {fan.cone_key(tau)}, m={m}: {lhs.render()} != {rhs.render()}"
+        )
+
+
 def relation_fans():
     """The fixture fans, (P^1)^3 under each of its twelve elementary shears,
     sheared P^4 and the cube fan (the singular fan is a fixture)."""
@@ -654,6 +732,7 @@ def test_weights_on_equal_fans_and_cones_outside():
 def test_residue_table_work_counts_and_lifetime(monkeypatch):
     # work counts, not wall time: the residue tables live on the fan, so a
     # second pp_to_mw triangulates no cone; and they die with the fan
+    tb.fans._cone_from_primitive_rays.cache_clear()  # fresh cones, with no triangulation kept
     counts = {"triangulations": 0}
 
     def counted_triangulate(sigma):
@@ -762,3 +841,109 @@ def test_oracle_and_wall_tables_work_counts_and_lifetime(monkeypatch):
     del fan, W, f
     gc.collect()
     assert ref() is None
+
+
+def test_triangulation_work_counts(monkeypatch):
+    # work counts, not wall time: the triangulation is kept on the Cone
+    # object, so repeated multiplicities on one cone triangulate it once;
+    # equal cones with their rays in other orders are other objects, keep
+    # triangulations of their own, and give the same e(sigma, tau)
+    tb.fans._cone_from_primitive_rays.cache_clear()  # fresh cones, with no triangulation kept
+    counts = {"triangulations": 0}
+
+    def counted_triangulate(sigma):
+        counts["triangulations"] += 1
+        return tb.fans.triangulate_rays(sigma)
+
+    monkeypatch.setattr(tb.equivariant, "triangulate_rays", counted_triangulate)
+    square = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]  # a cone over a square: two triangulations
+    sigma = tb.cone_from_rays(3, square)
+    faces = tb.faces_of(sigma)
+    first = [tb.cone_equivariant_multiplicity(sigma, tau) for tau in faces]
+    assert [tb.cone_equivariant_multiplicity(sigma, tau) for tau in faces] == first
+    assert counts == {"triangulations": 1}
+    cones = [tb.cone_from_rays(3, order) for order in itertools.permutations(square)]
+    assert len(set(map(id, cones))) == len(cones) and all(c == sigma for c in cones)
+    assert any(c is sigma for c in cones)  # the memo gives sigma back for its own order
+    for cone in cones:
+        assert [tb.cone_equivariant_multiplicity(cone, tau) for tau in faces] == first
+    assert counts == {"triangulations": len(cones)}
+    diagonals = {frozenset(frozenset(rays) for rays, _mult, _duals in c._simplices) for c in cones}
+    assert len(diagonals) == 2
+
+
+def test_candidate_table_work_counts_and_lifetime(monkeypatch):
+    # work counts, not wall time: the candidate pairs at each cone live on
+    # the fan, so a second product lists no cone's containing cones again;
+    # and they die with the fan
+    counts = {"containing": 0}
+    cones_containing = tb.Fan.cones_containing
+
+    def counted_containing(fan, tau):
+        counts["containing"] += 1
+        return cones_containing(fan, tau)
+
+    fan = p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1))
+    p1 = tb.projective_space_algebra(1, "h")
+    h = p1.basis_element("h")
+    mix = tb.MixingMap(p1, [h, p1.zero(), -h])
+    v, _attempts = tb.find_generic_vector(fan, random.Random(0))
+    W1, W2 = tb.poincare_dual_mw(fan, mix, [0]), tb.poincare_dual_mw(fan, mix, [2, 4])
+    monkeypatch.setattr(tb.Fan, "cones_containing", counted_containing)
+    first = tb.mw_product(W1, W2, v)
+    assert counts["containing"] == len(fan.pair_candidates) == len(fan.cones)
+    counts["containing"] = 0
+    assert tb.mw_product(W1, W2, v) == first
+    for tau in fan.cones:
+        assert tb.weights._candidates(fan, tau) is fan.pair_candidates[tau]
+        tb.displacement_pairs(fan, tau, v)
+    assert counts == {"containing": 0}
+    ref = weakref.ref(fan)
+    del fan, W1, W2, first, tau
+    gc.collect()
+    assert ref() is None
+
+
+def test_monomial_images_work_counts_and_bound(monkeypatch):
+    # work counts, not wall time: the images of monomials are kept on the
+    # mixing map, one per monomial up to the algebra's top degree and none
+    # above it, so a repeated delta_extend multiplies no class; every result
+    # equals the images multiplied out term by term
+    rng = random.Random(11)
+    alg = tb.make_free_truncated([("a1", 1), ("a2", 1)], 3)
+    a1, a2 = alg.basis_element("a1"), alg.basis_element("a2")
+    counts = {"__mul__": 0}
+    mul = tb.AlgebraElement.__mul__
+
+    def counted_mul(a, b):
+        counts["__mul__"] += 1
+        return mul(a, b)
+
+    for images in ([a1, a2, a1 - a2], [a1, alg.zero(), -a2, a1 + 2 * a2]):
+        mix = tb.MixingMap(alg, images)
+        n, top = len(images), alg.top_degree
+        polys = []
+        for _ in range(150):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = [0] * n
+                for _ in range(rng.randint(0, top + 2)):
+                    exps[rng.randrange(n)] += 1
+                terms[tuple(exps)] = rng.choice((-3, -1, 1, 2))
+            polys.append(tb.Polynomial(n, terms))
+        for f in polys:
+            want = alg.zero()
+            for exps, c in f.terms.items():
+                term = alg.one()
+                for el, k in zip(images, exps):
+                    term = term * el ** k
+                want = want + term * c
+            assert mix.delta_extend(f) == want
+            assert len(mix._monomial_images) <= math.comb(n + top, n)
+        assert all(sum(exps) <= top for exps in mix._monomial_images)
+        assert len(mix._monomial_images) > math.comb(n + top, n) // 2
+        with monkeypatch.context() as patch:
+            patch.setattr(tb.AlgebraElement, "__mul__", counted_mul)
+            again = [mix.delta_extend(f) for f in polys]
+        assert counts == {"__mul__": 0}
+        assert again == [mix.delta_extend(f) for f in polys]
