@@ -29,8 +29,8 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import MixingMap
-from .errors import ConeNotInFan, FanNotComplete, InvariantViolation, ResidueNotPolynomial
-from .fans import Cone, Fan, is_complete, is_face, simplex_multiplicity, triangulate_rays
+from .errors import FanNotComplete, InvariantViolation, ResidueNotPolynomial
+from .fans import Cone, Fan, _ConeTable, is_complete, is_face, simplex_multiplicity, triangulate_rays
 from .lattice import dual_basis, rational_kernel
 from .polynomials import LinearFraction, Polynomial, _primitive_form, divide_exact, sum_of_products
 from .weights import MinkowskiWeight, _assert_balanced
@@ -110,18 +110,15 @@ def _agree(f: PiecewisePolynomial, s1: Cone, s2: Cone, params) -> bool:
 
 
 def _walls(fan: Fan):
-    """fan.walls, built on first use for a complete fan: each cone of
-    dimension n - 1 >= 1, in fan order, as (wall, sigma1, sigma2, its
-    _parameter_forms) with its two maximal cones in fan order."""
-    if fan.walls is None:
-        n = fan.ambient_rank
-        walls = []
-        for tau in fan.cones:
-            if tau.dim == n - 1 >= 1:
-                s1, s2 = (s for s in fan.cones_containing(tau) if s.dim == n)
-                walls.append((tau, s1, s2, _parameter_forms(tau)))
-        fan.walls = tuple(walls)
-    return fan.walls
+    """The fan's table "walls", built on first use for a complete fan: each
+    cone of dimension n - 1 >= 1, in fan order, as (wall, sigma1, sigma2,
+    its _parameter_forms) with its two maximal cones in fan order."""
+    n = fan.ambient_rank
+    return fan.table("walls", lambda: tuple(
+        (tau, *(s for s in fan.cones_containing(tau) if s.dim == n), _parameter_forms(tau))
+        for tau in fan.cones
+        if tau.dim == n - 1 >= 1
+    ))
 
 
 def _simplices(sigma: Cone):
@@ -192,9 +189,9 @@ def equivariant_multiplicity(fan: Fan, sigma: Cone, tau: Cone) -> LinearFraction
 
 
 def _residue_table(fan: Fan, tau: Cone):
-    """tau's entry of fan.residue_tables, which is built on first use for
-    every cone of the (complete) fan at once, from the triangulation kept
-    on each maximal cone, for all its faces.
+    """tau's entry of the fan's table "residue_tables", which is built on
+    first use for every cone of the (complete) fan at once, from the
+    triangulation kept on each maximal cone, for all its faces.
 
     An entry is (den, content, numerators): D_tau = content * prod form^k
     over den = {form: k}, every form at its highest power over the
@@ -202,27 +199,28 @@ def _residue_table(fan: Fan, tau: Cone):
     (sigma, D_tau * e(sigma, tau)) for the maximal cones sigma containing
     tau, in fan order.
     """
-    tables = fan.residue_tables
-    if not tables:
-        simplices = {sigma: _simplices(sigma) for sigma in fan.maximal_cones}
-        for t in fan.cones:
-            es = [(s, _multiplicity(simplices[s], t)) for s in fan.cones_containing(t) if s in simplices]
-            den, content = {}, 1
-            for _, e in es:
-                for form, k in e.den.items():
-                    den[form] = max(den.get(form, 0), k)
-                content = lcm(content, e.content)
-            numerators = []
-            for sigma, e in es:
-                N = e.num * (content // e.content)
-                for form, k in den.items():
-                    if k > e.den.get(form, 0):
-                        N = N * Polynomial.linear_form(form) ** (k - e.den.get(form, 0))
-                numerators.append((sigma, N))
-            tables[t] = (den, content, numerators)
-    if tau not in tables:
-        raise ConeNotInFan(f"{tau} not in fan")
-    return tables[tau]
+    return fan.table("residue_tables", lambda: _residue_tables(fan))[tau]
+
+
+def _residue_tables(fan: Fan) -> dict:
+    simplices = {sigma: _simplices(sigma) for sigma in fan.maximal_cones}
+    tables = _ConeTable()
+    for t in fan.cones:
+        es = [(s, _multiplicity(simplices[s], t)) for s in fan.cones_containing(t) if s in simplices]
+        den, content = {}, 1
+        for _, e in es:
+            for form, k in e.den.items():
+                den[form] = max(den.get(form, 0), k)
+            content = lcm(content, e.content)
+        numerators = []
+        for sigma, e in es:
+            N = e.num * (content // e.content)
+            for form, k in den.items():
+                if k > e.den.get(form, 0):
+                    N = N * Polynomial.linear_form(form) ** (k - e.den.get(form, 0))
+            numerators.append((sigma, N))
+        tables[t] = (den, content, numerators)
+    return tables
 
 
 def _exact_quotient(total: Polynomial, den: dict, content: int):

@@ -270,37 +270,22 @@ def _faces_of(sigma: Cone, built: dict):
     return [built[face] for face in order]
 
 
+class _ConeTable(dict):
+    """A dict over the cones of a fan: looking up any other cone raises ConeNotInFan."""
+
+    def __missing__(self, tau):
+        raise ConeNotInFan(f"{tau} not in fan")
+
+
 class Fan:
     """A fan: cones closed under faces, intersecting in common faces; the
     face lattice is built once, and validation checks maximal pairs only.
 
     Data derived from the fan lives on it and dies with it, each piece
     built on first use: the cones' spans and the diagonal's genericity walls
-    (`cone_spans`, `diagonal_walls`); `displacement_table`, the last
-    certified displacement vector v with the candidate pairs decided for it
-    so far, (v, {(tau, sigma1, sigma2): index or None}), which products and
-    `weights.displacement_pairs` fill one pair at a time and a new vector
-    replaces; `relation_normals(tau)`, for each cone one up from tau a ray
-    outside tau and the factor by which it overshoots the normal generator,
-    from which the relations at tau take their coefficients;
-    `relation_rows`, the last mixing map with the relations it gives,
-    (mixing, {tau: the relations at (tau, m) for m in tau.span_normals}),
-    which `weights.relation_rows` builds for every cone at once and a mixing
-    map unequal in value replaces, and which balancing and the presentations
-    read; and `residue_tables`, empty until the first residue sum, then for
-    every cone tau the common denominator D_tau of the multiplicities
-    e(sigma, tau) and the numerators D_tau * e(sigma, tau), which
-    `equivariant.residue_sum` fills for all cones at once;
-    `dual_characters`, which the ring oracle fills one entry at a time:
-    for a smooth maximal cone and one of its rays, (sigma, ray index) ->
-    the dual character m and the nonzero <m, u> over the other rays, for
-    any mixing map; and `walls`, None until `equivariant.check_pp` first
-    checks a complete fan, then each cone of dimension n - 1 >= 1 with its
-    two maximal cones and the parameter forms of its span;
-    `pair_candidates`, which `weights._candidates` fills one cone tau at a
-    time: tau -> the candidate pairs of the displacement rule at tau.
-    Built at construction: the face lattice, and each cone's `cone_key`
-    with the cone of each key.
+    (`cone_spans`, `diagonal_walls`), and the tables of `table`.  Built at
+    construction: the face lattice, and each cone's `cone_key` with the
+    cone of each key.
     Smoothness and completeness are decided once per fan too.
     """
 
@@ -328,19 +313,13 @@ class Fan:
         self._keys = {c: tuple(sorted(self._ray_index[r] for r in c.rays)) for c in faces}
         self.cones = tuple(sorted(faces, key=self.cone_sort_key))
         self._faces = faces
-        self._containing = {c: [] for c in self.cones}
+        self._containing = _ConeTable((c, []) for c in self.cones)
         for s in self.cones:
             for t in faces[s]:
                 self._containing[t].append(s)
         self._by_key = {self._keys[c]: c for c in self.cones}
         self.maximal_cones = [c for c in self.cones if self._containing[c] == [c]]
-        self.displacement_table = None
-        self.relation_rows = None
-        self.residue_tables = {}
-        self.dual_characters = {}
-        self.walls = None
-        self.pair_candidates = {}
-        self._relation_normals = {}
+        self._tables = {}  # name -> (key, table)
         if validate:
             self._validate()
 
@@ -391,8 +370,6 @@ class Fan:
 
     def cones_containing(self, tau: Cone):
         """Cones of the fan having tau as a face, tau included, in fan order."""
-        if tau not in self._containing:
-            raise ConeNotInFan(f"{tau} not in fan")
         return self._containing[tau]
 
     def codim(self, cone: Cone) -> int:
@@ -435,6 +412,23 @@ class Fan:
     def is_simplicial(self) -> bool:
         return all(c.is_simplicial for c in self.cones)
 
+    def table(self, name: str, build, key=None):
+        """The fan's table `name`, from `build()` on first use; it dies with
+        the fan.  One slot is kept per name: a `key` that differs from the
+        stored one, by identity and then by value, builds the table again in
+        its place, so a table keyed by a vector or a mixing map is kept for
+        the latest one only.  A build that raises stores nothing.  Each
+        builder stays next to its use: `relation_normals`; `relation_rows`
+        (keyed by the mixing map), `displacement_table` (by the vector) and
+        `pair_candidates` in weights; `residue_tables` and `walls` in
+        equivariant; `dual_characters`, filled one entry at a time, and
+        `normal_forms` (by the mixing map) in presentations.
+        """
+        slot = self._tables.get(name)
+        if slot is None or (slot[0] is not key and slot[0] != key):
+            slot = self._tables[name] = (key, build())
+        return slot[1]
+
     def relation_normals(self, tau: Cone) -> dict:
         """Each cone sigma of the fan one dimension up from tau, in fan
         order, mapped to (r, k): r a ray of sigma outside tau, and k the gcd
@@ -443,16 +437,19 @@ class Fan:
         M meets perp(tau) in the dual lattice of N/N_tau, so r is k times
         n_sigma/tau, the generator of N_sigma/N_tau on sigma's side, modulo
         N_tau, and <m, n_sigma/tau> = <m, r> / k for m in perp(tau).  Built
-        on first use for each tau.
+        on first use for every cone at once.
         """
-        if tau not in self._relation_normals:
-            table = {}
-            for sigma in self.cones_containing(tau):
+        return self.table("relation_normals", self._relation_normals)[tau]
+
+    def _relation_normals(self) -> dict:
+        table = _ConeTable()
+        for tau in self.cones:
+            table[tau] = entry = {}
+            for sigma in self._containing[tau]:
                 if sigma.dim == tau.dim + 1:
                     r = next(r for r in sigma.rays if r not in tau.rays)
-                    table[sigma] = (r, gcd(*(dot(m, r) for m in tau.span_normals)))
-            self._relation_normals[tau] = table
-        return self._relation_normals[tau]
+                    entry[sigma] = (r, gcd(*(dot(m, r) for m in tau.span_normals)))
+        return table
 
     @cached_property
     def cone_spans(self) -> dict:

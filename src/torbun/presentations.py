@@ -5,9 +5,9 @@ The homology presentation lists one generator per cone and one relation per
 divisors reduce to a normal form in stratum classes by squarefree lookup and
 elimination of repeated factors through the linear relations; pushing
 forward to the base turns ring classes into Minkowski weights.  Normal forms
-are memoised by monomial, one memo for all the cones of a Poincare-dual
-weight, and each elimination reads the dual character it substitutes from a
-table the fan keeps.
+are memoised by monomial in a table the fan keeps for its latest mixing map,
+and each elimination reads the dual character it substitutes from a table
+the fan keeps for any mixing map.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import ConeNotInFan, OracleRequiresSmoothComplete, check_invariant
 from .fans import Cone, Fan, is_complete
-from .lattice import Vec, dot, dual_basis
+from .lattice import dot, dual_basis
 from .weights import MinkowskiWeight, Relation, _assert_balanced, relation_rows
 
 
@@ -95,31 +95,27 @@ def _require_oracle_fan(fan: Fan):
         )
 
 
-def _dual_character(sigma_star: Cone, ray: Vec) -> Vec:
-    """The character pairing to 1 with `ray` and to 0 with the other rays of
-    the smooth maximal cone sigma_star."""
-    col = dual_basis(sigma_star.rays)[sigma_star.rays.index(ray)]
-    check_invariant(all(c.denominator == 1 for c in col), "dual character of a smooth cone is not integral")
-    return tuple(int(c) for c in col)
-
-
 def _elimination(fan: Fan, sigma_star: Cone, rep: int):
-    """fan.dual_characters' entry for a smooth maximal cone and its ray of
-    index rep, built on first use: the dual character m, and (j, <m, u_j>)
-    for the fan's other rays u_j where the pairing is nonzero, in ray order."""
-    entry = fan.dual_characters.get((sigma_star, rep))
+    """The fan's "dual_characters" entry for a smooth maximal cone and its
+    ray of index rep, built on first use: the dual character m, pairing to 1
+    with that ray and to 0 with sigma_star's other rays, and (j, <m, u_j>)
+    for the fan's other rays u_j where it is nonzero, in ray order."""
+    characters = fan.table("dual_characters", dict)
+    entry = characters.get((sigma_star, rep))
     if entry is None:
-        m = _dual_character(sigma_star, fan.rays[rep])
+        col = dual_basis(sigma_star.rays)[sigma_star.rays.index(fan.rays[rep])]
+        check_invariant(all(c.denominator == 1 for c in col), "dual character of a smooth cone is not integral")
+        m = tuple(int(c) for c in col)
         others = tuple((j, c) for j, u in enumerate(fan.rays) if j != rep and (c := dot(m, u)) != 0)
-        entry = fan.dual_characters[(sigma_star, rep)] = (m, others)
+        entry = characters[(sigma_star, rep)] = (m, others)
     return entry
 
 
 def _normal_forms(fan: Fan, mixing: MixingMap):
     """A memoised routine `_normal_form(monomial)`: for a sorted tuple of ray
     indices, the normal form of prod(D_ray) in stratum classes, as
-    {cone: nonzero coefficient}.  Every call of the routine shares one memo,
-    and delta(m) is taken once per character m.
+    {cone: nonzero coefficient}.  The memo and delta(m) per character m are
+    the fan's table "normal_forms" for the mixing map, kept between calls.
 
     Squarefree monomials over a cone become that stratum; non-faces vanish;
     a repeated ray is eliminated by substituting its linear relation, chosen
@@ -131,7 +127,7 @@ def _normal_forms(fan: Fan, mixing: MixingMap):
     """
     n, algebra = fan.ambient_rank, mixing.algebra
     longest = n + algebra.top_degree
-    memo, deltas = {}, {}
+    memo, deltas = fan.table("normal_forms", lambda: ({}, {}), mixing)
 
     def step(monomial):
         """monomial's normal form when it needs no elimination, else the
@@ -193,7 +189,7 @@ def _monomial(fan: Fan, ray_indices) -> tuple:
 
 def reduce_product(fan: Fan, mixing: MixingMap, ray_indices, base: AlgebraElement = None) -> RingElement:
     """Normal form of p*(base) . prod(D_ray) in stratum classes: base times
-    the memoised normal form of the monomial."""
+    the normal form of the monomial, memoised on the fan."""
     _require_oracle_fan(fan)
     base = base if base is not None else mixing.algebra.one()
     nf = _normal_forms(fan, mixing)(_monomial(fan, ray_indices))
@@ -215,7 +211,7 @@ def poincare_dual_mw(
 ) -> MinkowskiWeight:
     """Minkowski weight of the ring class p*(base) . prod(D_ray):
     its value on a cone is the pushforward of the product with that stratum.
-    The normal forms of all cones share one memo."""
+    The normal forms share the memo the fan keeps for the mixing map."""
     _require_oracle_fan(fan)
     algebra = mixing.algebra
     base = base if base is not None else algebra.one()

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import BalancingError, FanNotComplete, InvariantViolation, NonGenericVector
-from .fans import Cone, Fan, is_complete, is_generic_diagonal, sigma_v_set, simplex_multiplicity
+from .fans import Cone, Fan, _ConeTable, is_complete, is_generic_diagonal, sigma_v_set, simplex_multiplicity
 from .lattice import Sublattice, Vec, dot, lattice_index, solve_scaled
 
 
@@ -117,14 +117,13 @@ def relation_at(fan: Fan, mixing: MixingMap, tau: Cone, m) -> Relation:
 
 
 def relation_rows(fan: Fan, mixing: MixingMap) -> dict:
-    """`fan.relation_rows` for this mixing map: each cone tau mapped to the
-    relations at (tau, m) for m in tau.span_normals, in order, all built by
-    `relation_at` when the mixing map differs in value from the last one.
-    The rows are shared: read them, never change them."""
-    if fan.relation_rows is None or (fan.relation_rows[0] is not mixing and fan.relation_rows[0] != mixing):
-        rows = {tau: tuple(relation_at(fan, mixing, tau, m) for m in tau.span_normals) for tau in fan.cones}
-        fan.relation_rows = (mixing, rows)
-    return fan.relation_rows[1]
+    """The fan's table "relation_rows" for this mixing map: each cone tau
+    mapped to the relations at (tau, m) for m in tau.span_normals, in order,
+    all built by `relation_at` when the mixing map differs in value from the
+    last one.  The rows are shared: read them, never change them."""
+    return fan.table("relation_rows", lambda: {
+        tau: tuple(relation_at(fan, mixing, tau, m) for m in tau.span_normals) for tau in fan.cones
+    }, mixing)
 
 
 def _sides(W: MinkowskiWeight, relation: Relation):
@@ -202,30 +201,34 @@ def displacement_pairs(fan: Fan, tau: Cone, v):
     Raises NonGenericVector when v lies on a diagonal wall.
     """
     v, decided = _certified(fan, v)
-    pairs = ((s1, s2, _pair_index(fan, decided, v, tau, s1, s2)) for s1, s2s in _candidates(fan, tau) for s2 in s2s)
+    pairs = ((s1, s2, _pair_index(fan, decided, v, tau, s1, s2)) for s1, s2s in _candidates(fan)[tau] for s2 in s2s)
     return [pair for pair in pairs if pair[2] is not None]
 
 
 def _certified(fan: Fan, v):
-    """`fan.displacement_table` for v, renewed when v is new and certified generic."""
+    """(v, the fan's table "displacement_table" for v, {(tau, s1, s2): index
+    or None} decided so far), renewed when v is new and certified generic."""
     v = tuple(v)
-    if fan.displacement_table is None or fan.displacement_table[0] != v:
+
+    def certify():
         if not is_generic_diagonal(fan, v):
             raise NonGenericVector(f"displacement vector {v} lies on a wall; it is not generic")
-        fan.displacement_table = (v, {})
-    return fan.displacement_table
+        return {}
+
+    return v, fan.table("displacement_table", certify, v)
 
 
-def _candidates(fan: Fan, tau: Cone):
-    """Each cone s1 containing tau with the cones s2 containing tau of dimension
-    n + dim(tau) - dim(s1), i.e. codim(s1) + codim(s2) = codim(tau); in fan order.
-    Kept in `fan.pair_candidates`, built on first use for each tau."""
-    table = fan.pair_candidates.get(tau)
-    if table is None:
-        containing = fan.cones_containing(tau)
-        by_dim = {d: tuple(s for s in containing if s.dim == d) for d in range(tau.dim, fan.ambient_rank + 1)}
-        table = fan.pair_candidates[tau] = tuple((s1, by_dim[fan.ambient_rank + tau.dim - s1.dim]) for s1 in containing)
-    return table
+def _candidates(fan: Fan):
+    """The fan's table "pair_candidates", built for every cone tau at once, in
+    fan order: each cone s1 containing tau with the cones s2 containing tau of
+    dimension n + dim(tau) - dim(s1), i.e. codim(s1) + codim(s2) = codim(tau)."""
+    return fan.table("pair_candidates", lambda: _ConeTable((tau, _candidates_at(fan, tau)) for tau in fan.cones))
+
+
+def _candidates_at(fan: Fan, tau: Cone):
+    containing = fan.cones_containing(tau)
+    by_dim = {d: tuple(s for s in containing if s.dim == d) for d in range(tau.dim, fan.ambient_rank + 1)}
+    return tuple((s1, by_dim[fan.ambient_rank + tau.dim - s1.dim]) for s1 in containing)
 
 
 def _pair_index(fan: Fan, decided: dict, v: Vec, tau: Cone, s1: Cone, s2: Cone):
@@ -276,9 +279,9 @@ def mw_product(W1: MinkowskiWeight, W2: MinkowskiWeight, v) -> MinkowskiWeight:
     _require_complete(fan)
     v, decided = _certified(fan, v)
     values = {}
-    for tau in fan.cones:
+    for tau, candidates in _candidates(fan).items():
         terms = []
-        for s1, s2s in _candidates(fan, tau):
+        for s1, s2s in candidates:
             if s1 in W1.values:
                 for s2 in s2s:
                     if s2 in W2.values and (idx := _pair_index(fan, decided, v, tau, s1, s2)):

@@ -354,7 +354,7 @@ def test_pair_index_from_perp_bases_matches_sublattices():
         v, _attempts = tb.find_generic_vector(fan, random.Random(0))
         for tau in fan.cones:
             tb.displacement_pairs(fan, tau, v)
-        for (tau, s1, s2), index in fan.displacement_table[1].items():
+        for (tau, s1, s2), index in fan._tables["displacement_table"][1].items():
             if index is not None:
                 assert index == smith_pair_index(s1, s2), (fan, s1, s2)
                 decided += 1
@@ -434,7 +434,7 @@ def test_wall_kernel_counts(monkeypatch):
 
 def test_cold_residue_tables_build_no_cone_and_no_smith_form(monkeypatch):
     fan = cube_fan(1)
-    assert tb.is_complete(fan) and not fan.residue_tables
+    assert tb.is_complete(fan) and "residue_tables" not in fan._tables
     counts = {"cones": 0, "smith forms": 0}
     cone_init, snf_cached = tb.fans.Cone.__init__, tb.lattice._snf_cached
 
@@ -449,7 +449,7 @@ def test_cold_residue_tables_build_no_cone_and_no_smith_form(monkeypatch):
     monkeypatch.setattr(tb.fans.Cone, "__init__", counted_cone_init)
     monkeypatch.setattr(tb.lattice, "_snf_cached", counted_snf)
     tb.equivariant._residue_table(fan, fan.cones[0])
-    assert len(fan.residue_tables) == len(fan.cones)
+    assert len(fan._tables["residue_tables"][1]) == len(fan.cones)
     assert counts == {"cones": 0, "smith forms": 0}
 
 

@@ -532,7 +532,7 @@ def test_zero_weight_product_certifies_the_vector(f1_fan, base_algebra, mixing, 
     fan = tb.fan_from_ray_lists(2, F1_RAYS, F1_MAX_CONES)
     zero = tb.MinkowskiWeight(fan, base_algebra, mixing, 1, {})
     assert tb.mw_product(zero, zero, (2, 1)).is_zero()
-    assert fan.displacement_table == ((2, 1), {})
+    assert fan._tables["displacement_table"] == ((2, 1), {})
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +731,8 @@ def test_weights_on_equal_fans_and_cones_outside():
 
 def test_residue_table_work_counts_and_lifetime(monkeypatch):
     # work counts, not wall time: the residue tables live on the fan, so a
-    # second pp_to_mw triangulates no cone; and they die with the fan
+    # second pp_to_mw triangulates no cone (test_fan_tables_die_with_the_fan
+    # checks that they die with the fan)
     tb.fans._cone_from_primitive_rays.cache_clear()  # fresh cones, with no triangulation kept
     counts = {"triangulations": 0}
 
@@ -756,17 +757,14 @@ def test_residue_table_work_counts_and_lifetime(monkeypatch):
     assert tb.pp_to_mw(f * f, mix) == first
     assert tb.pp_to_mw(f, mix).codim == 1
     assert counts == {"triangulations": 0}
-    ref = weakref.ref(fan)
-    del fan, f, first, pieces, sigma
-    gc.collect()
-    assert ref() is None
 
 
 def test_relation_rows_work_counts_and_lifetime(monkeypatch):
     # work counts, not wall time: the relation rows live on the fan for the
     # last mixing map, so a second balancing check or a presentation under a
     # mixing map equal in value builds no relation, and an unequal one
-    # rebuilds them all; and they die with the fan
+    # rebuilds them all (test_fan_tables_die_with_the_fan checks that they
+    # die with the fan)
     counts = {"relations": 0}
     relation_at = tb.weights.relation_at
 
@@ -795,17 +793,14 @@ def test_relation_rows_work_counts_and_lifetime(monkeypatch):
     assert counts == {"relations": every_row}
     assert tb.check_balancing(W).ok
     assert counts == {"relations": 2 * every_row}
-    ref = weakref.ref(fan)
-    del fan, W
-    gc.collect()
-    assert ref() is None
 
 
 def test_oracle_and_wall_tables_work_counts_and_lifetime(monkeypatch):
     # work counts, not wall time: the dual characters of the ring oracle and
     # the walls of the compatibility check live on the fan, so a second
     # poincare_dual_mw inverts no dual basis and a second check_pp builds no
-    # wall table; and both die with the fan
+    # wall table (test_fan_tables_die_with_the_fan checks that both die with
+    # the fan)
     counts = {"dual_bases": 0, "restrictions": 0}
     dual_basis, parameter_forms = tb.presentations.dual_basis, tb.equivariant._parameter_forms
 
@@ -824,7 +819,7 @@ def test_oracle_and_wall_tables_work_counts_and_lifetime(monkeypatch):
     h = p1.basis_element("h")
     mix = tb.MixingMap(p1, [h, p1.zero(), -h])
     W = tb.poincare_dual_mw(fan, mix, [0, 0, 2])
-    assert counts["dual_bases"] == len(fan.dual_characters) > 0
+    assert counts["dual_bases"] == len(fan._tables["dual_characters"][1]) > 0
     counts["dual_bases"] = 0
     assert tb.poincare_dual_mw(fan, mix, [0, 0, 2]) == W
     # the entries do not depend on the mixing map
@@ -833,14 +828,10 @@ def test_oracle_and_wall_tables_work_counts_and_lifetime(monkeypatch):
     walls = [c for c in fan.cones if c.dim == 2]
     f = random_compatible_pp(fan, random.Random(3), 2)
     assert tb.check_pp(f) == [] and counts["restrictions"] == len(walls) == 12
-    assert [wall for wall, *_ in fan.walls] == walls
+    assert [wall for wall, *_ in fan._tables["walls"][1]] == walls
     counts["restrictions"] = 0
     assert tb.check_pp(f) == [] and tb.pp_to_mw(f, mix).codim == 2
     assert counts["restrictions"] == 0
-    ref = weakref.ref(fan)
-    del fan, W, f
-    gc.collect()
-    assert ref() is None
 
 
 def test_triangulation_work_counts(monkeypatch):
@@ -874,8 +865,8 @@ def test_triangulation_work_counts(monkeypatch):
 
 def test_candidate_table_work_counts_and_lifetime(monkeypatch):
     # work counts, not wall time: the candidate pairs at each cone live on
-    # the fan, so a second product lists no cone's containing cones again;
-    # and they die with the fan
+    # the fan, so a second product lists no cone's containing cones again
+    # (test_fan_tables_die_with_the_fan checks that they die with the fan)
     counts = {"containing": 0}
     cones_containing = tb.Fan.cones_containing
 
@@ -891,17 +882,141 @@ def test_candidate_table_work_counts_and_lifetime(monkeypatch):
     W1, W2 = tb.poincare_dual_mw(fan, mix, [0]), tb.poincare_dual_mw(fan, mix, [2, 4])
     monkeypatch.setattr(tb.Fan, "cones_containing", counted_containing)
     first = tb.mw_product(W1, W2, v)
-    assert counts["containing"] == len(fan.pair_candidates) == len(fan.cones)
+    assert counts["containing"] == len(fan._tables["pair_candidates"][1]) == len(fan.cones)
     counts["containing"] = 0
     assert tb.mw_product(W1, W2, v) == first
     for tau in fan.cones:
-        assert tb.weights._candidates(fan, tau) is fan.pair_candidates[tau]
+        assert tb.weights._candidates(fan)[tau] is fan._tables["pair_candidates"][1][tau]
         tb.displacement_pairs(fan, tau, v)
     assert counts == {"containing": 0}
+
+
+P1 = tb.projective_space_algebra(1, "h")
+MIX = tb.MixingMap(P1, [P1.basis_element("h"), P1.zero(), -P1.basis_element("h")])
+
+# every table a fan keeps, with one call that builds it on a smooth complete fan
+TABLE_USES = {
+    "relation_normals": lambda fan: fan.relation_normals(fan.zero_cone()),
+    "relation_rows": lambda fan: tb.homology_presentation(fan, MIX),
+    "displacement_table": lambda fan: tb.displacement_pairs(fan, fan.zero_cone(), (1, 2, 4)),
+    "pair_candidates": lambda fan: tb.displacement_pairs(fan, fan.zero_cone(), (1, 2, 4)),
+    "residue_tables": lambda fan: tb.residue_sum(random_compatible_pp(fan, random.Random(3), 2), fan.zero_cone()),
+    "walls": lambda fan: tb.check_pp(random_compatible_pp(fan, random.Random(3), 2)),
+    "dual_characters": lambda fan: tb.reduce_product(fan, MIX, [0, 0, 2]),
+    "normal_forms": lambda fan: tb.reduce_product(fan, MIX, [0, 0, 2]),
+}
+
+
+def test_table_uses_cover_every_table():
+    fan = p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1))
+    assert fan._tables == {}
+    for use in TABLE_USES.values():
+        use(fan)
+    assert set(fan._tables) == set(TABLE_USES)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_USES))
+def test_fan_tables_die_with_the_fan(name):
+    # no table a fan keeps, and no module-level memo, holds on to the fan;
+    # nor does a table refer back to its fan, so the fan goes as soon as its
+    # last reference does, with no cycle left for the collector
+    fan = p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1))
+    TABLE_USES[name](fan)
+    assert name in fan._tables
     ref = weakref.ref(fan)
-    del fan, W1, W2, first, tau
+    gc.disable()
+    try:
+        del fan
+        freed_at_once = ref() is None
+    finally:
+        gc.enable()
     gc.collect()
     assert ref() is None
+    assert freed_at_once
+
+
+def test_cone_outside_the_fan_raises_cone_not_in_fan():
+    # the per-fan tables are built for every cone at once; a cone outside
+    # the fan still raises ConeNotInFan, before the tables are built and after
+    fan = p1_cubed_fan()
+    W = tb.MinkowskiWeight(fan, P1, MIX, 1, {})
+    f = random_compatible_pp(fan, random.Random(3), 1)
+    calls = {
+        "balancing_sides": lambda tau: tb.balancing_sides(W, tau, (1, -1, 0)),
+        "relation_normals": fan.relation_normals,
+        "displacement_pairs": lambda tau: tb.displacement_pairs(fan, tau, (1, 2, 4)),
+        "residue_sum": lambda tau: tb.residue_sum(f, tau),
+    }
+    outside = tb.cone_from_rays(3, [(1, 1, 0)])
+    assert fan._tables == {}
+    for name, call in calls.items():
+        with pytest.raises(tb.ConeNotInFan) as info:
+            call(outside)
+        assert str(info.value) == "Cone((1, 1, 0),) in Z^3 not in fan", name
+        call(fan.zero_cone())
+        with pytest.raises(tb.ConeNotInFan) as info:
+            call(outside)
+        assert str(info.value) == "Cone((1, 1, 0),) in Z^3 not in fan", name
+    assert {"relation_normals", "displacement_table", "pair_candidates", "residue_tables"} <= set(fan._tables)
+
+
+def test_failed_certification_keeps_the_decided_pairs(monkeypatch):
+    # a vector on a wall raises NonGenericVector and stores nothing: the
+    # pairs decided under the last certified vector stay, so a repeat
+    # product under it makes no rational solve
+    counts = {"solves": 0}
+
+    def counted_solve(rows, rhs):
+        counts["solves"] += 1
+        return tb.lattice.solve_scaled(rows, rhs)
+
+    monkeypatch.setattr(tb.weights, "solve_scaled", counted_solve)
+    fan = p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1))
+    v, _attempts = tb.find_generic_vector(fan, random.Random(0))
+    W1, W2 = tb.poincare_dual_mw(fan, MIX, [0]), tb.poincare_dual_mw(fan, MIX, [2, 4])
+    first = tb.mw_product(W1, W2, v)
+    assert counts["solves"] > 0
+    decided = fan._tables["displacement_table"]
+    on_a_wall = (1, 0, 0)  # a ray of the fan
+    assert not tb.is_generic_diagonal(fan, on_a_wall)
+    with pytest.raises(tb.NonGenericVector):
+        tb.mw_product(W1, W2, on_a_wall)
+    assert fan._tables["displacement_table"] is decided
+    counts["solves"] = 0
+    assert tb.mw_product(W1, W2, v) == first
+    assert counts == {"solves": 0}
+
+
+def test_normal_form_work_counts(monkeypatch):
+    # work counts, not wall time: the ring oracle's normal forms live on the
+    # fan for the last mixing map, so a second poincare_dual_mw or
+    # reduce_product under a mixing map equal in value runs no elimination
+    # step; an unequal one rebuilds the memo, and switching back gives the
+    # same weights from a memo built again
+    counts = {"eliminations": 0}
+    elimination = tb.presentations._elimination
+
+    def counted_elimination(*args):
+        counts["eliminations"] += 1
+        return elimination(*args)
+
+    monkeypatch.setattr(tb.presentations, "_elimination", counted_elimination)
+    fan = p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1))
+    W = tb.poincare_dual_mw(fan, MIX, [0, 0, 2])
+    cold = counts["eliminations"]
+    assert cold > 0
+    counts["eliminations"] = 0
+    h = P1.basis_element("h")
+    same = tb.MixingMap(P1, [h, P1.zero(), -h])
+    assert same == MIX and same is not MIX
+    assert tb.poincare_dual_mw(fan, same, [0, 0, 2]) == W
+    assert tb.reduce_product(fan, same, [2, 0, 0]) == tb.reduce_product(fan, MIX, [0, 2, 0])
+    assert counts == {"eliminations": 0}
+    assert tb.poincare_dual_mw(fan, tb.MixingMap(P1, [h, h, P1.zero()]), [0, 0, 2]).codim == 3
+    assert counts["eliminations"] > 0
+    counts["eliminations"] = 0
+    assert tb.poincare_dual_mw(fan, MIX, [0, 0, 2]) == W
+    assert counts == {"eliminations": cold}
 
 
 def test_monomial_images_work_counts_and_bound(monkeypatch):
