@@ -43,9 +43,7 @@ from .fans import (
     Cone,
     Fan,
     cone_from_rays,
-    cone_sublattice,
     fan_from_ray_lists,
-    fan_product,
     faces_of,
     find_generic_vector,
     is_complete,
@@ -53,20 +51,16 @@ from .fans import (
     is_generic_diagonal,
     multiplicity,
     sigma_v_set,
-    star_fan,
     triangulate,
     zero_cone,
 )
 from .lattice import (
     INFINITE,
-    QuotientMap,
     Sublattice,
     full_sublattice,
     lattice_index,
-    normal_generator,
     perp_basis,
     primitive,
-    quotient_map,
     saturated_span,
     saturation,
     smith_normal_form,

@@ -245,9 +245,6 @@ class AlgebraElement:
     def is_homogeneous_of(self, d: int) -> bool:
         return all(self.algebra.degrees[i] == d for i in self.coeffs)
 
-    def homogeneous_part(self, d: int) -> "AlgebraElement":
-        return self.algebra._element({i: c for i, c in self.coeffs.items() if self.algebra.degrees[i] == d})
-
     def _coerce(self, other):
         if isinstance(other, int):
             return AlgebraElement(self.algebra, {0: other})

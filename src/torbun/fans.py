@@ -14,17 +14,16 @@ triangulations work on ray tuples, with kernels and facet normals only,
 and simplex multiplicities are gcds of maximal minors, read off an integer
 echelon form.  A cone's dimension and span normals come from one rational
 kernel of its rays, and a Smith form only where its perp has rank >= 2;
-its sublattice is taken on first read, which only that Smith route, star
-fans and subbundle indices make.  What is derived from a cone is
-kept on the Cone, and what is derived from a fan on the Fan; the one
-module-level memo, of cones by their rays, is bounded.  All of it is exact
-integer and rational linear algebra.
+its sublattice is taken on first read, which only that Smith route and
+subbundle indices make.  What is derived from a cone is kept on the Cone,
+and what is derived from a fan on the Fan; the one module-level memo, of
+cones by their rays, is bounded.  All of it is exact integer and rational
+linear algebra.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -50,7 +49,6 @@ from .lattice import (
     lattice_index,
     perp_basis,
     primitive,
-    quotient_map,
     rational_kernel,
     rational_rank,
     saturated_span,
@@ -125,20 +123,6 @@ class Cone:
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.dim
 
-    def contains(self, point) -> bool:
-        """Exact membership for integer or rational points."""
-        point = tuple(Fraction(c) for c in point)
-        return all(dot(w, point) == 0 for w in self.span_normals) and all(
-            dot(u, point) >= 0 for u in self.facet_normals
-        )
-
-    def interior_point(self) -> Vec:
-        """A lattice point in the relative interior (sum of the rays)."""
-        out = (0,) * self.ambient_rank
-        for r in self.rays:
-            out = vec_add(out, r)
-        return out
-
 
 def zero_cone(ambient_rank: int) -> Cone:
     return cone_from_rays(ambient_rank, ())
@@ -205,11 +189,6 @@ def _facet_normals(ambient_rank, prims, d):
         if vanishing not in facets:
             facets[vanishing] = u
     return facets
-
-
-def cone_sublattice(cone: Cone) -> Sublattice:
-    """The saturated sublattice generated by the cone's lattice points."""
-    return cone.sublattice
 
 
 def is_face(tau: Cone, sigma: Cone) -> bool:
@@ -429,17 +408,19 @@ class Fan:
             slot = self._tables[name] = (key, build())
         return slot[1]
 
-    def relation_normals(self, tau: Cone) -> dict:
-        """Each cone sigma of the fan one dimension up from tau, in fan
-        order, mapped to (r, k): r a ray of sigma outside tau, and k the gcd
-        of <m, r> over tau.span_normals, a lattice basis of perp(tau).
+    def relation_normals(self) -> _ConeTable:
+        """The fan's table "relation_normals", built on first use for every
+        cone at once: each cone tau mapped to the cones sigma one dimension
+        up from it, in fan order, each mapped to (r, k): r a ray of sigma
+        outside tau, and k the gcd of <m, r> over tau.span_normals, a
+        lattice basis of perp(tau).  Looking up a cone outside the fan
+        raises ConeNotInFan.
 
         M meets perp(tau) in the dual lattice of N/N_tau, so r is k times
         n_sigma/tau, the generator of N_sigma/N_tau on sigma's side, modulo
-        N_tau, and <m, n_sigma/tau> = <m, r> / k for m in perp(tau).  Built
-        on first use for every cone at once.
+        N_tau, and <m, n_sigma/tau> = <m, r> / k for m in perp(tau).
         """
-        return self.table("relation_normals", self._relation_normals)[tau]
+        return self.table("relation_normals", self._relation_normals)
 
     def _relation_normals(self) -> dict:
         table = _ConeTable()
@@ -541,19 +522,6 @@ def is_complete(fan: Fan) -> bool:
     maximal cones, and the maximal cones connected through shared ridges.
     Decided once per fan."""
     return fan._complete
-
-
-def star_fan(tau: Cone, fan: Fan):
-    """The fan of images of cones containing tau in the quotient lattice.
-
-    Returns (star, quotient) where quotient is the QuotientMap by the
-    saturated span of tau.
-    """
-    containing = fan.cones_containing(tau)
-    q = quotient_map(tau.sublattice)
-    images = ([v for v in map(q.project, sigma.rays) if not is_zero(v)] for sigma in containing)
-    cones = [cone_from_rays(q.quotient_rank, rays) for rays in images]
-    return Fan(q.quotient_rank, cones, validate=False), q
 
 
 def multiplicity(sigma: Cone) -> int:
@@ -707,14 +675,3 @@ def sigma_v_set(fan: Fan, N: Sublattice, v) -> SigmaVResult:
                 cones.append(cone)
     return SigmaVResult(cones, not offending, offending)
 
-
-def fan_product(f1: Fan, f2: Fan) -> Fan:
-    """Product fan in the direct-sum lattice (no revalidation needed)."""
-    n1, n2 = f1.ambient_rank, f2.ambient_rank
-    rays = [tuple(r) + (0,) * n2 for r in f1.rays] + [(0,) * n1 + tuple(r) for r in f2.rays]
-    cones = []
-    for c1 in f1.cones:
-        for c2 in f2.cones:
-            lifted = [tuple(r) + (0,) * n2 for r in c1.rays] + [(0,) * n1 + tuple(r) for r in c2.rays]
-            cones.append(cone_from_rays(n1 + n2, lifted))
-    return Fan(n1 + n2, cones, rays=rays, validate=False)

@@ -7,15 +7,14 @@ tuples of ints, matrices are tuples of row tuples.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
-from .errors import NotCodimOne, NotSaturated, ZeroVector, check_invariant
+from .errors import ZeroVector, check_invariant
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -37,14 +36,6 @@ def dot(u, v) -> int:
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: int, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
 
 
 def vec_neg(v: Vec) -> Vec:
@@ -315,15 +306,6 @@ def solve_scaled(A_rows, b):
     return X, d
 
 
-def solve_rational(A_rows, b):
-    """One solution x of A x = b over Fraction, or None if inconsistent."""
-    solution = solve_scaled(A_rows, b)
-    if solution is None:
-        return None
-    X, d = solution
-    return [Fraction(a, d) for a in X]
-
-
 def _perp(ambient_rank: int, rows, pivots):
     """Primitive integer vectors spanning the perp of an echelon form's rows,
     one per free column."""
@@ -344,16 +326,6 @@ def rational_kernel(ambient_rank: int, rows):
     """Primitive integer vectors spanning {x : <row, x> = 0 for every row}
     over Q (not a lattice basis); empty when the rows have full rank."""
     return _perp(ambient_rank, *_rref(rows))
-
-
-def rational_span(ambient_rank: int, generators):
-    """The rational span of the generators as (key, normals).  The key is
-    its reduced row echelon basis over Fraction, so equal spans have equal
-    keys; normals are primitive integer vectors spanning its perp over Q,
-    computed from the key (not a lattice basis of the perp)."""
-    rows, pivots = _rref(generators)
-    key = tuple(tuple(Fraction(a, row[c]) for a in row) for row, c in zip(rows, pivots))
-    return key, _perp(ambient_rank, rows, pivots)
 
 
 def invert_rational(A_rows):
@@ -474,51 +446,6 @@ def lattice_index(ambient_rank: int, generators):
     return out
 
 
-@dataclass(frozen=True)
-class QuotientMap:
-    """Projection Z^n -> Z^(n-k) with prescribed saturated kernel."""
-
-    ambient_rank: int
-    kernel: Sublattice
-    projection: Mat
-    section: Mat  # rows are preimages of the standard basis of the quotient
-
-    def __post_init__(self):
-        for v in self.kernel.basis:
-            check_invariant(is_zero(mat_vec(self.projection, v)), "quotient map: projection misses the kernel")
-        proj_of_section = tuple(mat_vec(self.projection, row) for row in self.section)
-        check_invariant(
-            proj_of_section == identity_matrix(self.quotient_rank), "quotient map: section is not a right inverse"
-        )
-
-    @property
-    def quotient_rank(self) -> int:
-        return self.ambient_rank - self.kernel.rank
-
-    def project(self, v: Vec) -> Vec:
-        return mat_vec(self.projection, v)
-
-    def lift(self, u: Vec) -> Vec:
-        out = (0,) * self.ambient_rank
-        for c, row in zip(u, self.section, strict=True):
-            out = vec_add(out, vec_scale(c, row))
-        return out
-
-
-def quotient_map(kernel: Sublattice) -> QuotientMap:
-    """Quotient by a saturated sublattice; raises NotSaturated otherwise."""
-    if not is_saturated(kernel):
-        raise NotSaturated("quotient by a non-saturated sublattice has torsion")
-    n = kernel.ambient_rank
-    k = kernel.rank
-    if k == 0:
-        return QuotientMap(n, kernel, identity_matrix(n), identity_matrix(n))
-    r = snf(kernel.basis)
-    projection = tuple(tuple(r.V[row][j] for row in range(n)) for j in range(k, n))
-    section = tuple(tuple(r.Vinv[i]) for i in range(k, n))
-    return QuotientMap(n, kernel, projection, section)
-
-
 def perp_basis(L: Sublattice):
     """Basis of {m : <m, v> = 0 for all v in L}; saturated by construction."""
     n = L.ambient_rank
@@ -555,70 +482,3 @@ def _solve_integer(B, target):
             return None
     y = mat_vec(transpose(r.U), tuple(z))  # y = z . U
     return y
-
-
-def _norm_sq(v: Vec) -> int:
-    return sum(a * a for a in v)
-
-
-def _min_norm_rep(x0: Vec, tau_basis) -> Vec:
-    """Representative of x0 + span_Z(tau_basis) of minimal Euclidean norm,
-    ties broken by lexicographic greatness."""
-    r = len(tau_basis)
-    if r == 0:
-        return x0
-    gram = [[dot(a, b) for b in tau_basis] for a in tau_basis]
-    ginv = invert_rational(gram)
-    target = _norm_sq(x0)
-    bounds = []
-    for i in range(r):
-        bexpr = 4 * target * ginv[i][i]
-        bounds.append(isqrt(bexpr.numerator // bexpr.denominator) + 1)
-    best = x0
-    best_n = _norm_sq(x0)
-    for combo in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        cand = x0
-        for c, b in zip(combo, tau_basis):
-            cand = vec_add(cand, vec_scale(c, b))
-        nn = _norm_sq(cand)
-        if nn < best_n or (nn == best_n and cand > best):
-            best, best_n = cand, nn
-    return best
-
-
-def normal_generator(tau: Sublattice, sigma: Sublattice, witness: Vec) -> Vec:
-    """A lattice point of sigma generating the rank-one quotient sigma/tau.
-
-    The sign is fixed so that the image pairs positively with the image of
-    `witness` (a point of the relevant cone); the representative modulo tau
-    is the minimal-norm one, ties broken lexicographically.  Relation
-    coefficients do not need this canonical form (see Fan.relation_normals).
-    """
-    if tau.ambient_rank != sigma.ambient_rank:
-        raise ValueError("ambient rank mismatch")
-    if sigma.rank != tau.rank + 1:
-        raise NotCodimOne("rank(sigma) must equal rank(tau) + 1")
-    if not is_saturated(tau) or not is_saturated(sigma):
-        raise NotSaturated("normal_generator requires saturated sublattices")
-    q = quotient_map(tau)
-    images = tuple(q.project(v) for v in sigma.basis)
-    r = snf(images)
-    if r.rank != 1:
-        raise NotCodimOne("quotient sigma/tau is not of rank one")
-    d = r.S[0][0]
-    gen_image = vec_scale(d, tuple(r.Vinv[0]))
-    w_img = q.project(witness)
-    lam = None
-    for a, b in zip(w_img, gen_image):
-        if b != 0:
-            lam = Fraction(a, b)
-            break
-    if lam is None or lam == 0 or not is_zero(vec_sub(w_img, tuple(int(lam * b) for b in gen_image))):
-        raise ValueError("witness does not lie on the sigma side")
-    target = gen_image if lam > 0 else vec_neg(gen_image)
-    y = _solve_integer(images, target)
-    check_invariant(y is not None, "normal_generator: the generator is not in sigma's lattice")
-    x0 = (0,) * sigma.ambient_rank
-    for c, b in zip(y, sigma.basis):
-        x0 = vec_add(x0, vec_scale(c, b))
-    return _min_norm_rep(x0, tau.basis)

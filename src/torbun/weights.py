@@ -100,14 +100,15 @@ def relation_at(fan: Fan, mixing: MixingMap, tau: Cone, m) -> Relation:
     over the cones one dimension up from tau, rhs delta(m).
 
     <m, n_sigma/tau> = <m, r> / k for the (r, k) of
-    `fan.relation_normals(tau)`; the division is exact since m is an integer
-    combination of the perp basis that k is a gcd over.  Raises ValueError
-    when m is not in perp(tau), where the pairing would depend on the lift.
+    `fan.relation_normals()[tau]`; the division is exact since m is an
+    integer combination of the perp basis that k is a gcd over.  Raises
+    ValueError when m is not in perp(tau), where the pairing would depend on
+    the lift.
     """
     if any(dot(m, r) for r in tau.rays):
         raise ValueError(f"m={tuple(m)} is not in the perp of {tau}")
     lhs = {}
-    for sigma, (r, k) in fan.relation_normals(tau).items():
+    for sigma, (r, k) in fan.relation_normals()[tau].items():
         c, rest = divmod(dot(m, r), k)
         if rest:  # the message is built only when the check fails
             raise InvariantViolation(f"<m, r> is not a multiple of {k} for m={tuple(m)}, r={r}")
@@ -151,10 +152,11 @@ def check_balancing(W: MinkowskiWeight) -> BalancingReport:
     _require_complete(fan)
     algebra, values = W.algebra, W.values
     rows = relation_rows(fan, W.mixing)
+    normals = fan.relation_normals()
     violations = []
     for tau in fan.cones:
         at_tau = values.get(tau)
-        if at_tau is not None or not values.keys().isdisjoint(fan.relation_normals(tau)):
+        if at_tau is not None or not values.keys().isdisjoint(normals[tau]):
             for relation in rows[tau]:
                 terms = [(coeff, values[sigma], None) for sigma, coeff in relation.lhs.items() if sigma in values]
                 if at_tau is not None:

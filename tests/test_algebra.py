@@ -117,6 +117,7 @@ def test_delta_extend_restricts_to_delta(mixing):
 def test_homogeneous_parts(base_algebra, a1, a2):
     el = a1 + a1 * a2
     assert el.degrees() == [1, 2]
-    assert el.homogeneous_part(1) == a1
-    assert el.homogeneous_part(2) == a1 * a2
+    assert not el.is_homogeneous_of(1) and not el.is_homogeneous_of(2)
+    assert (el - a1 * a2).is_homogeneous_of(1)
+    assert (el - a1).is_homogeneous_of(2)
     assert not el.is_homogeneous()

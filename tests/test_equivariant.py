@@ -28,6 +28,7 @@ from conftest import (
     projective_space_fan,
     shear,
 )
+from quotient_oracle import quotient_map
 
 
 def x(i, n=2):
@@ -164,7 +165,7 @@ def star_route_multiplicity(sigma, tau):
     n = sigma.ambient_rank
     if sigma == tau:
         return LinearFraction(Polynomial.constant(n, 1))
-    q = tb.quotient_map(tau.sublattice)
+    q = quotient_map(tau.sublattice)
     image = tb.cone_from_rays(q.quotient_rank, [v for v in map(q.project, sigma.rays) if any(v)])
     assert image.dim == q.quotient_rank
     mtau = tau.span_normals

