@@ -18,6 +18,9 @@ N_sigma = D_tau * e(sigma, tau), built once from one triangulation of each
 maximal cone.  A residue sum is then one polynomial, sum of f_sigma *
 N_sigma, divided exactly by D_tau, or zero at once when that sum is zero;
 `cone_equivariant_multiplicity` sums over the simplices on each call.
+Common denominators and exact division by linear forms are the
+`polynomials` module's: `common_denominator` builds D_tau and the N_sigma,
+and `divide_out` divides by D_tau's forms.
 Compatibility on a complete fan is checked across the walls the fan keeps,
 and pair by pair only when some wall disagrees.
 """
@@ -26,13 +29,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from .algebra import MixingMap
 from .errors import FanNotComplete, InvariantViolation, ResidueNotPolynomial
 from .fans import Cone, Fan, _ConeTable, is_complete, is_face, simplex_multiplicity, triangulate_rays
 from .lattice import dual_basis, rational_kernel
-from .polynomials import LinearFraction, Polynomial, _primitive_form, divide_exact, sum_of_products
+from .polynomials import LinearFraction, Polynomial, _primitive_form, common_denominator, divide_out, sum_of_products
 from .weights import MinkowskiWeight, _assert_balanced
 
 
@@ -206,36 +208,10 @@ def _residue_tables(fan: Fan) -> dict:
     simplices = {sigma: _simplices(sigma) for sigma in fan.maximal_cones}
     tables = _ConeTable()
     for t in fan.cones:
-        es = [(s, _multiplicity(simplices[s], t)) for s in fan.cones_containing(t) if s in simplices]
-        den, content = {}, 1
-        for _, e in es:
-            for form, k in e.den.items():
-                den[form] = max(den.get(form, 0), k)
-            content = lcm(content, e.content)
-        numerators = []
-        for sigma, e in es:
-            N = e.num * (content // e.content)
-            for form, k in den.items():
-                if k > e.den.get(form, 0):
-                    N = N * Polynomial.linear_form(form) ** (k - e.den.get(form, 0))
-            numerators.append((sigma, N))
-        tables[t] = (den, content, numerators)
+        sigmas = [s for s in fan.cones_containing(t) if s in simplices]
+        den, content, numerators = common_denominator([_multiplicity(simplices[s], t) for s in sigmas])
+        tables[t] = (den, content, list(zip(sigmas, numerators)))
     return tables
-
-
-def _exact_quotient(total: Polynomial, den: dict, content: int):
-    """total / (content * prod form^k over den) as a polynomial, or None
-    when it is not one: divided one form at a time, then by the content."""
-    for form, k in den.items():
-        for _ in range(k):
-            total = divide_exact(total, form)
-            if total is None:
-                return None
-    if content == 1:
-        return total
-    if any(c % content for c in total.terms.values()):
-        return None
-    return Polynomial._trusted(total.num_vars, {e: c // content for e, c in total.terms.items()})
 
 
 def residue_sum(f: PiecewisePolynomial, tau: Cone) -> Polynomial:
@@ -248,12 +224,15 @@ def residue_sum(f: PiecewisePolynomial, tau: Cone) -> Polynomial:
     if not is_complete(fan):
         raise FanNotComplete("residue sums need a complete fan")
     den, content, numerators = _residue_table(fan, tau)
-    total = sum_of_products(fan.ambient_rank, ((f.pieces[sigma], N) for sigma, N in numerators))
-    out = total if total.is_zero() else _exact_quotient(total, den, content)
-    if out is None:
-        raise ResidueNotPolynomial(
-            f"residue at {fan.cone_key(tau)} is {LinearFraction(total, den, content).render()}"
-        )
+    total = out = sum_of_products(fan.ambient_rank, ((f.pieces[sigma], N) for sigma, N in numerators))
+    if not total.is_zero():
+        out, left = divide_out(total, den)
+        if left or content > 1 and any(c % content for c in out.terms.values()):
+            raise ResidueNotPolynomial(
+                f"residue at {fan.cone_key(tau)} is {LinearFraction(total, den, content).render()}"
+            )
+        if content > 1:
+            out = Polynomial._trusted(out.num_vars, {e: c // content for e, c in out.terms.items()})
     # the invariant messages are built only when a check fails
     want = f.degree - fan.codim(tau)
     if want < 0:

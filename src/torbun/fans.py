@@ -14,10 +14,11 @@ triangulations work on ray tuples, with kernels and facet normals only,
 and simplex multiplicities are gcds of maximal minors, read off an integer
 echelon form.  A cone's dimension and span normals come from one rational
 kernel of its rays, and a Smith form only where its perp has rank >= 2;
-its sublattice is taken on first read, which only that Smith route and
-subbundle indices make.  What is derived from a cone is kept on the Cone,
-and what is derived from a fan on the Fan; the one module-level memo, of
-cones by their rays, is bounded.  All of it is exact integer and rational
+its sublattice is taken on first read, which only that Smith route makes:
+displacement and subbundle indices are gcds of minors of span normals.
+What is derived from a cone is kept on the Cone, and what is derived from
+a fan on the Fan; the one module-level memo, of cones by their rays, is
+bounded.  All of it is exact integer and rational
 linear algebra.
 """
 

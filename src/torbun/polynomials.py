@@ -3,13 +3,15 @@
 Polynomial models elements of Sym M in coordinates x1..xn.  LinearFraction
 models quotients whose denominator is a positive integer times a product of
 primitive integer linear forms, kept in a canonical reduced shape so that
-equality is literal equality of the parts.
+equality is literal equality of the parts.  Exact division by linear forms
+(`divide_out`) and common denominators (`common_denominator`) live here
+only; LinearFraction and the residue sums of `equivariant` both use them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
 
@@ -216,9 +218,8 @@ class Polynomial:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self, names=None) -> str:
-        if names is None:
-            names = [f"x{i + 1}" for i in range(self.num_vars)]
+    def render(self) -> str:
+        names = [f"x{i + 1}" for i in range(self.num_vars)]
         terms = []
         for e in sorted(self.terms, key=lambda e: (sum(e), tuple(-x for x in e))):
             factors = []
@@ -274,6 +275,45 @@ def divide_exact(poly: Polynomial, form):
     return Polynomial._trusted(poly.num_vars, Q)
 
 
+def divide_out(poly: Polynomial, den: dict):
+    """Divide poly by form^k for each {form: k} of den, one form at a time
+    for as long as each division is exact: (quotient, {form: the power left
+    undivided}), in den's order, with the powers of 0 dropped.  One pass
+    suffices, since a form that does not divide poly divides no quotient
+    of it."""
+    left = {}
+    for form, k in den.items():
+        while k > 0:
+            q = divide_exact(poly, form)
+            if q is None:
+                break
+            poly, k = q, k - 1
+        if k:
+            left[form] = k
+    return poly, left
+
+
+def common_denominator(fractions):
+    """LinearFractions over one denominator: (den, content, numerators),
+    with den = {form: k}, every form at its highest power over the
+    fractions, content the lcm of their contents, and each numerator scaled
+    up to match, so that fraction i is numerators[i] / (content * prod
+    form^k over den)."""
+    den, content = {}, 1
+    for q in fractions:
+        for form, k in q.den.items():
+            den[form] = max(den.get(form, 0), k)
+        content = lcm(content, q.content)
+    numerators = []
+    for q in fractions:
+        N = q.num * (content // q.content)
+        for form, k in den.items():
+            if k > q.den.get(form, 0):
+                N = N * Polynomial.linear_form(form) ** (k - q.den.get(form, 0))
+        numerators.append(N)
+    return den, content, numerators
+
+
 def _primitive_form(coeffs):
     """Normalize a rational coefficient vector to (factor, primitive form)
     with the form's first nonzero entry positive and factor in Q."""
@@ -319,18 +359,7 @@ class LinearFraction:
             self.num, self.den, self.content = num, {}, 1
             return
         if num.degree() > 0:  # no primitive linear form divides a nonzero constant
-            # one pass: a form that does not divide num divides no quotient of it
-            for form, mult in list(den.items()):
-                while mult > 0:
-                    q = divide_exact(num, form)
-                    if q is None:
-                        break
-                    num = q
-                    mult -= 1
-                if mult == 0:
-                    del den[form]
-                else:
-                    den[form] = mult
+            num, den = divide_out(num, den)
         g = gcd(num.content(), content)
         if g > 1:
             num = Polynomial(num.num_vars, {e: c // g for e, c in num.terms.items()})
@@ -404,18 +433,8 @@ class LinearFraction:
             return other
         if other.is_zero():
             return self
-        forms = set(self.den) | set(other.den)
-        target = {f: max(self.den.get(f, 0), other.den.get(f, 0)) for f in forms}
-        content = self.content * other.content // gcd(self.content, other.content)
-        ns = self.num * (content // self.content)
-        no = other.num * (content // other.content)
-        for f, mult in target.items():
-            fpoly = Polynomial.linear_form(f)
-            if mult > self.den.get(f, 0):
-                ns = ns * fpoly ** (mult - self.den.get(f, 0))
-            if mult > other.den.get(f, 0):
-                no = no * fpoly ** (mult - other.den.get(f, 0))
-        return LinearFraction(ns + no, target, content)
+        den, content, (ns, no) = common_denominator((self, other))
+        return LinearFraction(ns + no, den, content)
 
     def __neg__(self):
         return LinearFraction(-self.num, dict(self.den), self.content)
@@ -428,16 +447,15 @@ class LinearFraction:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self, names=None) -> str:
-        num = self.num.render(names)
+    def render(self) -> str:
+        num = self.num.render()
         if self.is_polynomial():
             return num
         factors = []
         if self.content != 1:
             factors.append(str(self.content))
-        vnames = names or [f"x{i + 1}" for i in range(self.num_vars)]
         for form in sorted(self.den):
-            text = Polynomial.linear_form(form).render(vnames)
+            text = Polynomial.linear_form(form).render()
             if len([c for c in form if c != 0]) > 1:
                 text = f"({text})"
             mult = self.den[form]

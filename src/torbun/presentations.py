@@ -64,15 +64,6 @@ class RingElement:
         terms[cone] = cur + el
         return RingElement(self.fan, self.algebra, terms)
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        out = self
-        for c, el in other.terms.items():
-            out = out.add_term(c, el)
-        return out
-
-    def scale(self, el) -> "RingElement":
-        return RingElement(self.fan, self.algebra, {c: x * el for c, x in self.terms.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)

@@ -21,7 +21,7 @@ from typing import Optional
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import BalancingError, FanNotComplete, InvariantViolation, NonGenericVector
 from .fans import Cone, Fan, _ConeTable, is_complete, is_generic_diagonal, sigma_v_set, simplex_multiplicity
-from .lattice import Sublattice, Vec, dot, lattice_index, solve_scaled
+from .lattice import Sublattice, Vec, dot, perp_basis, solve_scaled
 
 
 class MinkowskiWeight:
@@ -323,7 +323,9 @@ def subbundle_class(fan: Fan, N: Sublattice, v) -> StratumClassSum:
     """Class of the rank-N toric subbundle as a combination of strata.
 
     The support is the set of cones meeting span(N) + v in one point; the
-    coefficient on such a cone is the index [ambient : N_cone + N].
+    coefficient on such a cone is the index [ambient : N_cone + N].  That
+    index is the gcd of the maximal minors of the cone's span normals
+    together with a basis of perp(N), as in `_pair_index` with L = 0.
     """
     v = tuple(v)
     result = sigma_v_set(fan, N, v)
@@ -334,5 +336,6 @@ def subbundle_class(fan: Fan, N: Sublattice, v) -> StratumClassSum:
             f"span(cone {fan.cone_key(bad)}) + span(sublattice)"
         )
     # the cones of a generic v are transverse to N, so every index is finite
-    terms = {cone: lattice_index(fan.ambient_rank, cone.sublattice.basis + N.basis) for cone in result.cones}
+    N_normals = tuple(perp_basis(N))
+    terms = {cone: simplex_multiplicity(cone.span_normals + N_normals) for cone in result.cones}
     return StratumClassSum(fan, terms)

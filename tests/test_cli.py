@@ -776,7 +776,7 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(torbun.lattice, "_snf_ext", broken)
     # both take a Smith form: rays of the cone over a square have a perp of
-    # rank 2, and a subbundle's indices read cone lattices
+    # rank 2, and a subbundle checks that its sublattice is saturated
     for argv in (["check-fan", str(FIXTURES / "cone_over_square.json")], ["subbundle", str(FIXTURES / "p1p1_skew.json")]):
         torbun.lattice._snf_cached.cache_clear()
         assert main(argv) == 3, argv

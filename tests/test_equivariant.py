@@ -397,7 +397,7 @@ fan = tb.fan_from_ray_lists(2, [(1, 0), (1, 1), (0, 1), (-1, -1)], [(0, 1), (1, 
 f = tb.PiecewisePolynomial(fan, 1, {c: Polynomial.variable(2, 0) for c in fan.maximal_cones})
 # every residue sum comes out as x1^2, whatever its expected degree
 tb.equivariant.sum_of_products = lambda num_vars, pairs: Polynomial.constant(num_vars, 1)
-tb.equivariant._exact_quotient = lambda total, den, content: Polynomial.variable(2, 0) ** 2
+tb.equivariant.divide_out = lambda total, den: (Polynomial.variable(2, 0) ** 2, {})
 print(sys.flags.optimize)
 for key in ([], [1], [0, 1]):
     try:

@@ -58,3 +58,23 @@ def test_every_unexported_definition_is_used():
     exported = exports()
     unused = [f"{module}.{name}" for module, name in defined if name not in exported and name not in used]
     assert unused == []
+
+
+def test_every_import_is_read():
+    # a name a library module imports is read there, by name or as the base
+    # of an attribute; __init__.py imports only to export, which the pin
+    # above checks
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert unread == []

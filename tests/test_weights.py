@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -599,6 +600,32 @@ def test_subbundle_rejects_nongeneric(p1p1_fan):
 def test_subbundle_rejects_unsaturated_sublattice(p1p1_fan):
     with pytest.raises(tb.NotSaturated):
         tb.subbundle_class(p1p1_fan, tb.Sublattice(2, ((2, 2),)), (1, 0))
+
+
+def test_subbundle_indices_match_smith_sublattices_in_rank_3_and_4():
+    # the coefficients are gcds of minors of span normals and perp(N); the
+    # oracle is [N : N_cone + N] from the cone's Smith-form sublattice, for
+    # seeded saturated N of every rank 1..n-1
+    rng = random.Random(24)
+    fans = [
+        p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1)),
+        cube_fan(1),
+        projective_space_fan(4, shear(projective_space_rays(4), 0, 1, 1)),
+    ]
+    checked = Counter()
+    for fan in fans:
+        n = fan.ambient_rank
+        for _ in range(60):
+            k = rng.randint(1, n - 1)
+            N = tb.saturated_span(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
+            if N.rank != k:
+                continue
+            u, _attempts = tb.find_generic_vector(fan, rng, lambda f, u: tb.sigma_v_set(f, N, u).generic)
+            for cone, c in tb.subbundle_class(fan, N, u).terms.items():
+                assert c == tb.lattice_index(n, tb.saturated_span(n, sorted(cone.rays)).basis + N.basis), (N, cone)
+                checked[n, k, c > 1] += 1
+    assert sum(checked.values()) > 400 and sum(v for key, v in checked.items() if key[2]) > 250, checked
+    assert {(n, k) for n, k, _ in checked} == {(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}, checked
 
 
 # ---------------------------------------------------------------------------
