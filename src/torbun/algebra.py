@@ -157,6 +157,9 @@ def make_free_truncated(generators, top_degree: int) -> GradedAlgebra:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
 
+    def weighted(exps):
+        return sum(e * d for e, (_, d) in zip(exps, gens))
+
     monomials = [(0,) * len(gens)]
     frontier = [(0,) * len(gens)]
     seen = set(frontier)
@@ -165,14 +168,11 @@ def make_free_truncated(generators, top_degree: int) -> GradedAlgebra:
         for exps in frontier:
             for i in range(len(gens)):
                 cand = tuple(e + int(k == i) for k, e in enumerate(exps))
-                deg = sum(e * d for e, (_, d) in zip(cand, gens))
-                if deg <= top_degree and cand not in seen:
+                if weighted(cand) <= top_degree and cand not in seen:
                     seen.add(cand)
                     monomials.append(cand)
                     nxt.append(cand)
         frontier = nxt
-    def weighted(exps):
-        return sum(e * d for e, (_, d) in zip(exps, gens))
 
     # graded order, earlier generators first within a degree
     monomials.sort(key=lambda e: (weighted(e), tuple(-x for x in e)))

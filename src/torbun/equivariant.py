@@ -56,9 +56,6 @@ class PiecewisePolynomial:
         zero = Polynomial.zero(fan.ambient_rank)
         self.pieces = {c: clean.get(c, zero) for c in fan.maximal_cones}
 
-    def piece(self, cone: Cone) -> Polynomial:
-        return self.pieces[cone]
-
     def __mul__(self, other: "PiecewisePolynomial") -> "PiecewisePolynomial":
         if self.fan != other.fan:
             raise ValueError("different fans")
@@ -127,14 +124,13 @@ def _simplices(sigma: Cone):
     """sigma's triangulation: per simplex its rays, its multiplicity, and
     its dual basis in _primitive_form, as (factor, form) per ray.
 
-    Kept on the Cone object, built on first use as an immutable tuple.  The
-    triangulation depends on the ray order, and cone equality ignores it;
-    but one Cone object never changes its ray order, and
-    `fans._cone_from_primitive_rays` memoises cones by their ordered ray
-    tuple, so the kept triangulation is the one this object would give
-    again.  Equal cones with different ray orders are different objects and
-    keep their own triangulations; e(sigma, tau) does not depend on which
-    (the tests check it).
+    Kept on the Cone object, built on first use as an immutable tuple, so it
+    dies with the cone.  The triangulation depends on the ray order, and
+    cone equality ignores it; but one Cone object never changes its ray
+    order, so the kept triangulation is the one this object would give
+    again.  Equal cones are different objects whenever they are built
+    apart, and keep their own triangulations; e(sigma, tau) does not depend
+    on which (the tests check it).
     """
     if sigma._simplices is None:
         if sigma.dim != sigma.ambient_rank:

@@ -17,15 +17,15 @@ kernel of its rays, and a Smith form only where its perp has rank >= 2;
 its sublattice is taken on first read, which only that Smith route makes:
 displacement and subbundle indices are gcds of minors of span normals.
 What is derived from a cone is kept on the Cone, and what is derived from
-a fan on the Fan; the one module-level memo, of cones by their rays, is
-bounded.  All of it is exact integer and rational
+a fan on the Fan; a fan owns its cones, so both die with the fan, and no
+module-level memo keeps cones.  All of it is exact integer and rational
 linear algebra.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -40,7 +40,6 @@ from .errors import (
 )
 from .lattice import (
     INFINITE,
-    MEMO_SIZE,
     Sublattice,
     Vec,
     _rref,
@@ -81,7 +80,8 @@ class Cone:
     """
 
     __slots__ = (
-        "ambient_rank", "rays", "dim", "facet_normals", "_sublattice", "span_normals", "_key", "_hash", "_simplices"
+        "ambient_rank", "rays", "dim", "facet_normals", "_sublattice", "span_normals", "_key", "_hash", "_simplices",
+        "__weakref__",
     )
 
     def __init__(self, ambient_rank, rays, facet_normals, kernel=None):
@@ -134,16 +134,7 @@ def cone_from_rays(ambient_rank: int, rays) -> Cone:
     ones, compute facet normals, and verify strong convexity."""
     if ambient_rank > RANK_CAP:
         raise RankCapExceeded(f"facet enumeration capped at ambient rank {RANK_CAP}")
-    prims = []
-    for r in rays:
-        p = primitive(tuple(r))
-        if p not in prims:
-            prims.append(p)
-    return _cone_from_primitive_rays(ambient_rank, tuple(prims))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _cone_from_primitive_rays(ambient_rank: int, prims: tuple) -> Cone:
+    prims = tuple(dict.fromkeys(primitive(tuple(r)) for r in rays))
     kernel = rational_kernel(ambient_rank, prims)
     facets = _facet_normals(ambient_rank, prims, ambient_rank - len(kernel))
     if len(prims) + len(kernel) == ambient_rank:

@@ -19,8 +19,8 @@ from .errors import ZeroVector, check_invariant
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
-# entries kept by each module-level memo (Smith normal forms here, cones in
-# fans); bounded so a long-running process does not grow with every new fan
+# entries kept by the module-level memo of Smith normal forms; bounded so a
+# long-running process does not grow with every new fan
 MEMO_SIZE = 1024
 
 
@@ -92,7 +92,6 @@ class SNF:
     S: Mat
     U: Mat
     V: Mat
-    Uinv: Mat
     Vinv: Mat
 
     @property
@@ -109,27 +108,20 @@ def _snf_ext(A) -> SNF:
     n = len(A[0]) if m else 0
     S = [list(row) for row in A]
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    Ui = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
     Vi = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_sub(i, j, q):
         S[i] = [a - q * b for a, b in zip(S[i], S[j])]
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-        for r in range(m):
-            Ui[r][j] += q * Ui[r][i]
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
         U[i], U[j] = U[j], U[i]
-        for r in range(m):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
 
     def row_neg(i):
         S[i] = [-a for a in S[i]]
         U[i] = [-a for a in U[i]]
-        for r in range(m):
-            Ui[r][i] = -Ui[r][i]
 
     def col_sub(j, k, q):
         # column j -= q * column k
@@ -207,7 +199,6 @@ def _snf_ext(A) -> SNF:
         S=tuple(tuple(row) for row in S),
         U=tuple(tuple(row) for row in U),
         V=tuple(tuple(row) for row in V),
-        Uinv=tuple(tuple(row) for row in Ui),
         Vinv=tuple(tuple(row) for row in Vi),
     )
 
@@ -219,7 +210,7 @@ def _snf_cached(A: Mat) -> SNF:
     m = len(A)
     n = len(A[0]) if m else 0
     check_invariant(mat_mul(mat_mul(result.U, A), result.V) == result.S, "Smith normal form: U A V != S")
-    check_invariant(mat_mul(result.U, result.Uinv) == identity_matrix(m), "Smith normal form: U Uinv != 1")
+    check_invariant(lattice_index(m, result.U) == 1, "Smith normal form: U is not unimodular")
     check_invariant(mat_mul(result.V, result.Vinv) == identity_matrix(n), "Smith normal form: V Vinv != 1")
     return result
 

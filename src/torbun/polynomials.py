@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
+from .lattice import primitive, sign_normalize
+
 
 def signed_sum(terms) -> str:
     """Render [(coeff, monomial)] as "a - 2*b + 3"; the monomial "" is the unit.
@@ -318,24 +320,12 @@ def _primitive_form(coeffs):
     """Normalize a rational coefficient vector to (factor, primitive form)
     with the form's first nonzero entry positive and factor in Q."""
     fr = [Fraction(c) for c in coeffs]
-    if all(c == 0 for c in fr):
+    if not any(fr):
         raise ValueError("zero linear form")
-    lcm = 1
-    for c in fr:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in fr]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    ints = [a // g for a in ints]
-    sign = 1
-    for a in ints:
-        if a != 0:
-            sign = 1 if a > 0 else -1
-            break
-    ints = [sign * a for a in ints]
-    factor = Fraction(sign * g, lcm)
-    return factor, tuple(ints)
+    d = lcm(*(c.denominator for c in fr))
+    form = sign_normalize(primitive(tuple(int(c * d) for c in fr)))
+    c, a = next((c, a) for c, a in zip(fr, form) if a)
+    return c / a, form
 
 
 class LinearFraction:

@@ -14,7 +14,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import GradedAlgebra, MixingMap, make_free_truncated, point_algebra, projective_space_algebra
+from .algebra import (
+    AlgebraElement,
+    GradedAlgebra,
+    MixingMap,
+    make_free_truncated,
+    point_algebra,
+    projective_space_algebra,
+)
 from .errors import InvariantViolation, TorbunError
 from .fans import Cone, Fan, fan_from_ray_lists
 from .lattice import Sublattice
@@ -512,8 +519,6 @@ def parse_problem(text: str, path: str = "<memory>") -> Problem:
                 f"{path}: each mixing row must have {len(degree_one)} integer entries "
                 "(the degree-one basis)"
             )
-        from .algebra import AlgebraElement
-
         images.append(AlgebraElement(algebra, dict(zip(degree_one, row))))
     mixing = MixingMap(algebra, images)
 

@@ -311,13 +311,6 @@ class StratumClassSum:
     fan: Fan
     terms: dict  # Cone -> positive int
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, StratumClassSum)
-            and self.fan == other.fan
-            and self.terms == other.terms
-        )
-
 
 def subbundle_class(fan: Fan, N: Sublattice, v) -> StratumClassSum:
     """Class of the rank-N toric subbundle as a combination of strata.

@@ -511,7 +511,6 @@ def test_cone_sublattice_is_computed_once(monkeypatch):
     # a perp of rank 1 leaves the sublattice to the first read; a perp of
     # rank 2 reads it at construction
     for rays, at_init in (([(1, 2, 0), (0, 1, 3)], 0), ([(2, 1, -1)], 1)):
-        tb.fans._cone_from_primitive_rays.cache_clear()
         cone = tb.cone_from_rays(3, rays)
         assert calls["saturated_span"] == at_init
         first = cone.sublattice

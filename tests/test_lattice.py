@@ -1,8 +1,12 @@
 """Integer lattice linear algebra, checked against independent oracles."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -346,6 +350,38 @@ def test_snf_postcondition_is_an_invariant_violation(monkeypatch):
     with pytest.raises(tb.InvariantViolation):
         smith_normal_form(((1, 0), (0, 2)))
     tb.lattice._snf_cached.cache_clear()
+
+
+# a Smith form whose first rows of U and S are doubled: U A V = S still
+# holds, but det U = 2
+DOUBLED_FIRST_ROW = """
+import dataclasses
+import torbun as tb
+real = tb.lattice._snf_ext
+
+def doubled(A):
+    r = real(A)
+    S, U = ((tuple(2 * a for a in M[0]),) + M[1:] for M in (r.S, r.U))
+    return dataclasses.replace(r, S=S, U=U)
+
+tb.lattice._snf_ext = doubled
+try:
+    tb.smith_normal_form(((1, 0), (0, 2)))
+except tb.InvariantViolation as exc:
+    print(exc)
+"""
+
+
+def test_snf_non_unimodular_u_is_an_invariant_violation():
+    # U is checked by its index, not by a tracked inverse; the check raises
+    # in a process under python -O too
+    src = str(Path(tb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", DOUBLED_FIRST_ROW], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "Smith normal form: U is not unimodular\n", ""), flags
 
 
 # ---------------------------------------------------------------------------

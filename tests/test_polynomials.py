@@ -1,8 +1,12 @@
 """Polynomial arithmetic and the canonical linear-fraction form."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
-from torbun.polynomials import LinearFraction, Polynomial, divide_exact
+import pytest
+
+from torbun.polynomials import LinearFraction, Polynomial, _primitive_form, divide_exact
 
 
 def x(i, n=2):
@@ -136,3 +140,39 @@ def test_linear_fraction_render():
     f = lf_inv((0, 1), (2, -1), scale=Fraction(1, 2))
     assert f.render() == "2 / (x2 * (2*x1 - x2))"
     assert lf_inv((1, 0)).render() == "1 / x1"
+
+
+def loop_primitive_form(coeffs):
+    """(factor, primitive form) by hand-written lcm, gcd and sign loops: the
+    routine _primitive_form replaced, kept as its oracle."""
+    fr = [Fraction(c) for c in coeffs]
+    if all(c == 0 for c in fr):
+        raise ValueError("zero linear form")
+    den = 1
+    for c in fr:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in fr]
+    g = 0
+    for a in ints:
+        g = gcd(g, a)
+    ints = [a // g for a in ints]
+    sign = 1
+    for a in ints:
+        if a != 0:
+            sign = 1 if a > 0 else -1
+            break
+    return Fraction(sign * g, den), tuple(sign * a for a in ints)
+
+
+def test_primitive_form_matches_loop_oracle():
+    rng = random.Random(25)
+    for _ in range(5000):
+        size = rng.randint(1, 5)
+        coeffs = [Fraction(rng.choice((0, 0, rng.randint(-30, 30))), rng.randint(1, 12)) for _ in range(size)]
+        if not any(coeffs):
+            with pytest.raises(ValueError):
+                _primitive_form(coeffs)
+            continue
+        factor, form = _primitive_form(coeffs)
+        assert (factor, form) == loop_primitive_form(coeffs)
+        assert type(factor) is Fraction and all(type(a) is int for a in form)

@@ -7,6 +7,7 @@ from pathlib import Path
 import torbun as tb
 
 SRC = Path(tb.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 # the public API; a change to it edits this pin
 EXPORTS = {
@@ -77,4 +78,26 @@ def test_every_import_is_read():
                 imported.update(alias.asname or alias.name for alias in node.names)
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
         unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert unread == []
+
+
+def test_every_method_is_read():
+    # a method of a library class that is not a dunder is read as an
+    # attribute somewhere in the library, the tests or the benchmark
+    read = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                    read.add(node.attr)
+    methods = [
+        (f"{path.stem}.{cls.name}", node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert len(methods) > 100
+    unread = [f"{owner}.{name}" for owner, name in methods if not name.startswith("__") and name not in read]
     assert unread == []

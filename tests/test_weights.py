@@ -757,7 +757,6 @@ def test_residue_table_work_counts_and_lifetime(monkeypatch):
     # work counts, not wall time: the residue tables live on the fan, so a
     # second pp_to_mw triangulates no cone (test_fan_tables_die_with_the_fan
     # checks that they die with the fan)
-    tb.fans._cone_from_primitive_rays.cache_clear()  # fresh cones, with no triangulation kept
     counts = {"triangulations": 0}
 
     def counted_triangulate(sigma):
@@ -861,9 +860,8 @@ def test_oracle_and_wall_tables_work_counts_and_lifetime(monkeypatch):
 def test_triangulation_work_counts(monkeypatch):
     # work counts, not wall time: the triangulation is kept on the Cone
     # object, so repeated multiplicities on one cone triangulate it once;
-    # equal cones with their rays in other orders are other objects, keep
+    # equal cones built apart, in any ray order, are other objects, keep
     # triangulations of their own, and give the same e(sigma, tau)
-    tb.fans._cone_from_primitive_rays.cache_clear()  # fresh cones, with no triangulation kept
     counts = {"triangulations": 0}
 
     def counted_triangulate(sigma):
@@ -879,10 +877,9 @@ def test_triangulation_work_counts(monkeypatch):
     assert counts == {"triangulations": 1}
     cones = [tb.cone_from_rays(3, order) for order in itertools.permutations(square)]
     assert len(set(map(id, cones))) == len(cones) and all(c == sigma for c in cones)
-    assert any(c is sigma for c in cones)  # the memo gives sigma back for its own order
     for cone in cones:
         assert [tb.cone_equivariant_multiplicity(cone, tau) for tau in faces] == first
-    assert counts == {"triangulations": len(cones)}
+    assert counts == {"triangulations": 1 + len(cones)}
     diagonals = {frozenset(frozenset(rays) for rays, _mult, _duals in c._simplices) for c in cones}
     assert len(diagonals) == 2
 
@@ -957,6 +954,26 @@ def test_fan_tables_die_with_the_fan(name):
     gc.collect()
     assert ref() is None
     assert freed_at_once
+
+
+def test_cones_die_with_their_fan(monkeypatch):
+    # a fan owns every cone built for it: no module-level memo keeps one, so
+    # each cone, with the triangulation kept on it, goes with the fan
+    refs = []
+    init = tb.Cone.__init__
+
+    def recorded_init(cone, *args):
+        init(cone, *args)
+        refs.append(weakref.ref(cone))
+
+    monkeypatch.setattr(tb.Cone, "__init__", recorded_init)
+    fan = cube_fan(shear=2)
+    tb.pp_to_mw(random_compatible_pp(fan, random.Random(3), 2), MIX)
+    assert all(sigma._simplices is not None for sigma in fan.maximal_cones)
+    assert len(refs) > len(fan.cones)
+    del fan
+    gc.collect()
+    assert [ref() for ref in refs if ref() is not None] == []
 
 
 def test_cone_outside_the_fan_raises_cone_not_in_fan():
