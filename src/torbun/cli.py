@@ -217,6 +217,8 @@ def cmd_check_balancing(problem: Problem, args, doc: dict, rng) -> int:
 def cmd_mw_product(problem: Problem, args, doc: dict, rng) -> int:
     if len(problem.weight_specs) < 2:
         raise ProblemError("mw-product needs two weights in the file")
+    if args.cross_check and not problem.lattice_rank:
+        raise NonGenericVector("--cross-check needs a second generic vector, and rank 0 has only ()")
     W1 = problem.weight(0)
     W2 = problem.weight(1)
     v, attempts = _pick_displacement(problem, args, rng)

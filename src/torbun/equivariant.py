@@ -110,13 +110,10 @@ def _agree(f: PiecewisePolynomial, s1: Cone, s2: Cone, params) -> bool:
 
 def _walls(fan: Fan):
     """The fan's table "walls", built on first use for a complete fan: each
-    cone of dimension n - 1 >= 1, in fan order, as (wall, sigma1, sigma2,
-    its _parameter_forms) with its two maximal cones in fan order."""
-    n = fan.ambient_rank
+    ridge of the fan of dimension >= 1, in fan order, as (wall, sigma1,
+    sigma2, its _parameter_forms) with its two maximal cones in fan order."""
     return fan.table("walls", lambda: tuple(
-        (tau, *(s for s in fan.cones_containing(tau) if s.dim == n), _parameter_forms(tau))
-        for tau in fan.cones
-        if tau.dim == n - 1 >= 1
+        (tau, *sigmas, _parameter_forms(tau)) for tau, sigmas in fan.ridges.items() if tau.dim >= 1
     ))
 
 

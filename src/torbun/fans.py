@@ -3,23 +3,24 @@
 Cones are given by primitive ray generators; facet normals are computed by
 brute-force hyperplane enumeration, exact and adequate up to the declared
 ambient-rank cap of 4, and faces by closing the facets' zero sets under
-intersection.  A fan is closed under faces; its face lattice is built once,
-each face from the first cone it is a face of, and validation checks that
-pairs of maximal cones meet in common faces: by a separating functional
-made of either cone's facet normals where that one separates, else by the
-same brute-force enumeration modulo the common face.
+intersection.  A fan is closed under faces; it keeps the cones it is given
+and builds each other face once, from the first cone it is a face of, so
+each cone is one object.  Validation checks that pairs of maximal cones
+meet in common faces: by a separating functional made of either cone's
+facet normals where that one separates, else by the same brute-force
+enumeration modulo the common face; completeness reads the fan's ridges.
 Genericity of displacement vectors is decided against walls computed once
-per fan, one kernel per distinct union of two cones' rays.  Placing
-triangulations work on ray tuples, with kernels and facet normals only,
-and simplex multiplicities are gcds of maximal minors, read off an integer
-echelon form.  A cone's dimension and span normals come from one rational
-kernel of its rays, and a Smith form only where its perp has rank >= 2;
-its sublattice is taken on first read, which only that Smith route makes:
-displacement and subbundle indices are gcds of minors of span normals.
-What is derived from a cone is kept on the Cone, and what is derived from
-a fan on the Fan; a fan owns its cones, so both die with the fan, and no
-module-level memo keeps cones.  All of it is exact integer and rational
-linear algebra.
+per fan, spans keyed by their cones' kernels, one kernel per distinct union
+of two cones' rays.  Placing triangulations work on ray tuples, with
+kernels and facet normals only, and simplex multiplicities are gcds of
+maximal minors, read off an integer echelon form.  A cone's dimension and
+span normals come from its rational kernel, and a Smith form only where
+its perp has rank >= 2; its sublattice is taken on first read, which only
+that Smith route makes: displacement and subbundle indices are gcds of
+minors of span normals.  What is derived from a cone is kept on the Cone,
+and what is derived from a fan on the Fan; a fan owns its cones, so both
+die with the fan, and no module-level memo keeps cones.  All of it is
+exact integer and rational linear algebra.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .lattice import (
     INFINITE,
     Sublattice,
     Vec,
-    _rref,
     dot,
     is_saturated,
     is_zero,
@@ -66,11 +66,12 @@ class Cone:
     """A strongly convex rational polyhedral cone.
 
     Data derived from the cone lives on it.  Computed at construction: the
-    facet normals, and `dim` and `span_normals`, a lattice basis of the
-    perp of the span, from one rational kernel of the rays.  The perp is
-    saturated, and a saturated lattice of rank 1 has exactly two bases, the
-    primitive vectors +-m on its line, so a perp of rank 0 or 1 has one
-    basis up to sign: () or the sign-normalised primitive kernel vector.
+    facet normals; `kernel`, the rational kernel of the rays, which depends
+    only on the span (a `kernel=` argument must be exactly that); and from
+    it `dim` and `span_normals`, a lattice basis of the perp of the span.
+    The perp is saturated, and a saturated lattice of rank 1 has exactly
+    two bases, the primitive vectors +-m on its line, so a perp of rank 0
+    or 1 has one basis up to sign: () or the sign-normalised kernel vector.
     Only a perp of rank >= 2 takes the Smith form route, perp_basis of
     `sublattice`.  Computed on first read: `sublattice`, the saturated
     sublattice spanned by the rays taken in sorted order (so equal cones
@@ -80,12 +81,11 @@ class Cone:
     """
 
     __slots__ = (
-        "ambient_rank", "rays", "dim", "facet_normals", "_sublattice", "span_normals", "_key", "_hash", "_simplices",
-        "__weakref__",
+        "ambient_rank", "rays", "dim", "facet_normals", "kernel", "_sublattice", "span_normals", "_key", "_hash",
+        "_simplices", "__weakref__",
     )
 
     def __init__(self, ambient_rank, rays, facet_normals, kernel=None):
-        # kernel: rational_kernel of the rays, taken here if not given
         self.ambient_rank = ambient_rank
         self.rays = tuple(rays)
         self.facet_normals = tuple(facet_normals)
@@ -95,6 +95,7 @@ class Cone:
         self._simplices = None
         if kernel is None:
             kernel = rational_kernel(ambient_rank, self.rays)
+        self.kernel = kernel
         self.dim = ambient_rank - len(kernel)
         if len(kernel) <= 1:
             self.span_normals = tuple(sign_normalize(m) for m in kernel)
@@ -251,28 +252,31 @@ class _ConeTable(dict):
 class Fan:
     """A fan: cones closed under faces, intersecting in common faces; the
     face lattice is built once, and validation checks maximal pairs only.
+    Each cone is one object: a given cone is kept, unless an earlier given
+    cone already has it as a face, and each other face is built once.
 
     Data derived from the fan lives on it and dies with it, each piece
-    built on first use: the cones' spans and the diagonal's genericity walls
-    (`cone_spans`, `diagonal_walls`), and the tables of `table`.  Built at
+    built on first use: the diagonal's genericity walls, the `ridges`,
+    smoothness, completeness and the tables of `table`.  Built at
     construction: the face lattice, and each cone's `cone_key` with the
     cone of each key.
-    Smoothness and completeness are decided once per fan too.
     """
 
     def __init__(self, ambient_rank, cones, rays=None, validate=True):
         self.ambient_rank = ambient_rank
         # the face lattice: every cone of the closure mapped to its faces
         faces = {}
-        built = {}  # each face once, from the first cone it is a face of
+        built = {}  # each cone once: a given cone, else from the first cone it is a face of
         for c in cones:
+            built.setdefault(frozenset(c.rays), c)
             faces_c = _faces_of(c, built)
             for f in faces_c:
                 if f not in faces:
                     f_rays = set(f.rays)
                     faces[f] = frozenset(g for g in faces_c if f_rays.issuperset(g.rays))
-        z = zero_cone(ambient_rank)
-        faces.setdefault(z, frozenset([z]))
+        if not faces:  # every given cone has the zero cone as a face
+            z = zero_cone(ambient_rank)
+            faces[z] = frozenset([z])
         if rays is None:
             rays = sorted({r for c in faces for r in c.rays})
         self.rays = tuple(tuple(r) for r in rays)
@@ -281,7 +285,7 @@ class Fan:
             for r in c.rays:
                 if r not in self._ray_index:
                     raise ValueError(f"cone ray {r} missing from fan ray list")
-        self._keys = {c: tuple(sorted(self._ray_index[r] for r in c.rays)) for c in faces}
+        self._keys = _ConeTable((c, tuple(sorted(self._ray_index[r] for r in c.rays))) for c in faces)
         self.cones = tuple(sorted(faces, key=self.cone_sort_key))
         self._faces = faces
         self._containing = _ConeTable((c, []) for c in self.cones)
@@ -297,9 +301,8 @@ class Fan:
     # -- bookkeeping -----------------------------------------------------------
 
     def cone_key(self, cone: Cone):
-        """The sorted indices of the cone's rays in the fan's ray list."""
-        key = self._keys.get(cone)
-        return key if key is not None else tuple(sorted(self._ray_index[r] for r in cone.rays))
+        """The sorted indices of the cone's rays in the fan's ray list; ConeNotInFan if not in the fan."""
+        return self._keys[cone]
 
     def cone_sort_key(self, cone: Cone):
         return (cone.dim, self.cone_key(cone))
@@ -347,7 +350,7 @@ class Fan:
         return self.ambient_rank - cone.dim
 
     def zero_cone(self) -> Cone:
-        return zero_cone(self.ambient_rank)
+        return self.cones[0]
 
     def is_smooth(self) -> bool:
         return self._smooth
@@ -363,10 +366,7 @@ class Fan:
         if any(c.dim != n for c in maxes):
             return False
         adjacency = {id(c): set() for c in maxes}
-        for ridge in self.cones:
-            if ridge.dim != n - 1:
-                continue
-            owners = [c for c in self._containing[ridge] if c.dim == n]
+        for owners in self.ridges.values():
             if len(owners) != 2:
                 return False
             adjacency[id(owners[0])].add(id(owners[1]))
@@ -379,6 +379,13 @@ class Fan:
                     seen.add(nbr)
                     frontier.append(nbr)
         return len(seen) == len(maxes)
+
+    @cached_property
+    def ridges(self) -> dict:
+        """Each cone of dimension n - 1 mapped to the tuple of n-dimensional
+        cones containing it, both in fan order."""
+        n = self.ambient_rank
+        return {t: tuple(s for s in self._containing[t] if s.dim == n) for t in self.cones if t.dim == n - 1}
 
     def is_simplicial(self) -> bool:
         return all(c.is_simplicial for c in self.cones)
@@ -425,13 +432,6 @@ class Fan:
         return table
 
     @cached_property
-    def cone_spans(self) -> dict:
-        """Each cone's linear span, keyed by the integer rows of its reduced
-        row echelon form (coprime entries, positive pivots), so equal spans
-        have equal keys."""
-        return {c: tuple(map(tuple, _rref(c.rays)[0])) for c in self.cones}
-
-    @cached_property
     def diagonal_walls(self) -> tuple:
         """The walls of the diagonal: the distinct proper subspaces
         span(s1) + span(s2) for cones s1, s2 of the fan, each given by
@@ -441,9 +441,9 @@ class Fan:
         is span(A u B), so one kernel is taken per distinct union of the
         pair's rays, for the first pair giving it; the walls and their
         order are those of one kernel per pair."""
-        spans = {}  # a span's key -> the rays of one cone spanning it
-        for c, key in self.cone_spans.items():
-            spans.setdefault(key, c.rays)
+        spans = {}  # a span's kernel -> the rays of one cone spanning it
+        for c in self.cones:
+            spans.setdefault(c.kernel, c.rays)
         unions = {}  # the rays of a pair, as a set -> the pair's rays
         for A, B in itertools.combinations_with_replacement(spans.values(), 2):
             unions.setdefault(frozenset(A + B), A + B)
@@ -460,7 +460,7 @@ def fan_from_ray_lists(ambient_rank, rays, cones_as_indices) -> Fan:
             raise ValueError(f"ray {r} is not primitive")
     if len(set(rays)) != len(rays):
         raise ValueError("duplicate rays")
-    cones = [cone_from_rays(ambient_rank, [rays[i] for i in ixs]) for ixs in cones_as_indices]
+    cones = [cone_from_rays(ambient_rank, sorted(rays[i] for i in ixs)) for ixs in cones_as_indices]
     return Fan(ambient_rank, cones, rays=rays)
 
 
@@ -598,8 +598,9 @@ def is_generic_diagonal(fan: Fan, v) -> bool:
 
 
 def find_generic_vector(fan: Fan, rng, is_generic=None):
-    """Sample nonzero integer vectors until `is_generic(fan, v)` holds
-    (default: is_generic_diagonal); the sampling box doubles every 25 attempts.
+    """Sample integer vectors, nonzero unless the rank is 0, until
+    `is_generic(fan, v)` holds (default: is_generic_diagonal); the sampling
+    box doubles every 25 attempts.
 
     Returns (v, attempts).  Raises NonGenericVector when the budget runs out.
     """
@@ -609,7 +610,7 @@ def find_generic_vector(fan: Fan, rng, is_generic=None):
     while attempts < GENERIC_SEARCH_ATTEMPTS:
         v = tuple(rng.randint(-bound, bound) for _ in range(fan.ambient_rank))
         attempts += 1
-        if is_zero(v):
+        if is_zero(v) and v:
             continue
         if is_generic(fan, v):
             return v, attempts
@@ -649,13 +650,12 @@ def sigma_v_set(fan: Fan, N: Sublattice, v) -> SigmaVResult:
         raise NotSaturated("the subbundle sublattice must be saturated")
     codim = n - N.rank
     N_normals = rational_kernel(n, N.basis)
-    walls = {}  # a cone span's key -> normals of its wall with N, None if no wall
+    walls = {}  # a cone span's kernel -> normals of its wall with N, None if no wall
     cones, offending = [], []
     for cone in fan.cones:
-        span = fan.cone_spans[cone]
-        if span not in walls:
-            walls[span] = rational_kernel(n, cone.rays + N.basis) or None
-        normals = walls[span]
+        if cone.kernel not in walls:
+            walls[cone.kernel] = rational_kernel(n, cone.rays + N.basis) or None
+        normals = walls[cone.kernel]
         if normals is not None:
             if not any(dot(u, v) for u in normals):
                 offending.append(cone)

@@ -5,9 +5,9 @@ The homology presentation lists one generator per cone and one relation per
 divisors reduce to a normal form in stratum classes by squarefree lookup and
 elimination of repeated factors through the linear relations; pushing
 forward to the base turns ring classes into Minkowski weights.  Normal forms
-are memoised by monomial in a table the fan keeps for its latest mixing map,
-and each elimination reads the dual character it substitutes from a table
-the fan keeps for any mixing map.
+are memoised by monomial in a table the fan keeps for its latest mixing map.
+An elimination substitutes `weights.relation_at` at the zero cone and the
+dual character m that the fan keeps for any mixing map.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import ConeNotInFan, OracleRequiresSmoothComplete, check_invariant
 from .fans import Cone, Fan, is_complete
-from .lattice import dot, dual_basis
-from .weights import MinkowskiWeight, Relation, _assert_balanced, relation_rows
+from .lattice import dual_basis
+from .weights import MinkowskiWeight, Relation, _assert_balanced, relation_at, relation_rows
 
 
 @dataclass
@@ -89,36 +89,34 @@ def _require_oracle_fan(fan: Fan):
 def _elimination(fan: Fan, sigma_star: Cone, rep: int):
     """The fan's "dual_characters" entry for a smooth maximal cone and its
     ray of index rep, built on first use: the dual character m, pairing to 1
-    with that ray and to 0 with sigma_star's other rays, and (j, <m, u_j>)
-    for the fan's other rays u_j where it is nonzero, in ray order."""
+    with that ray and to 0 with sigma_star's other rays."""
     characters = fan.table("dual_characters", dict)
-    entry = characters.get((sigma_star, rep))
-    if entry is None:
+    m = characters.get((sigma_star, rep))
+    if m is None:
         col = dual_basis(sigma_star.rays)[sigma_star.rays.index(fan.rays[rep])]
         check_invariant(all(c.denominator == 1 for c in col), "dual character of a smooth cone is not integral")
-        m = tuple(int(c) for c in col)
-        others = tuple((j, c) for j, u in enumerate(fan.rays) if j != rep and (c := dot(m, u)) != 0)
-        entry = characters[(sigma_star, rep)] = (m, others)
-    return entry
+        m = characters[(sigma_star, rep)] = tuple(int(c) for c in col)
+    return m
 
 
 def _normal_forms(fan: Fan, mixing: MixingMap):
     """A memoised routine `_normal_form(monomial)`: for a sorted tuple of ray
     indices, the normal form of prod(D_ray) in stratum classes, as
-    {cone: nonzero coefficient}.  The memo and delta(m) per character m are
-    the fan's table "normal_forms" for the mixing map, kept between calls.
+    {cone: nonzero coefficient}.  The memo and, per character m, the
+    relation at (zero cone, m) from `relation_at` are the fan's table
+    "normal_forms" for the mixing map, kept between calls.
 
     Squarefree monomials over a cone become that stratum; non-faces vanish;
     a repeated ray is eliminated by substituting its linear relation, chosen
     so that the other rays of the first maximal cone containing the
-    monomial's cone drop out: D_rep = p*delta(m) - sum <m, u_j> D_j.  A step
-    keeps the monomial's length plus its coefficient's degree, and a normal
-    form's monomials have at most n rays, so a monomial longer than n plus
-    the top degree is 0.  Elimination runs on an explicit stack.
+    monomial's cone drop out: D_rep = p*delta(m) - sum_{j!=rep} <m, u_j> D_j.
+    A step keeps the monomial's length plus its coefficient's degree, and a
+    normal form's monomials have at most n rays, so a monomial longer than n
+    plus the top degree is 0.  Elimination runs on an explicit stack.
     """
     n, algebra = fan.ambient_rank, mixing.algebra
     longest = n + algebra.top_degree
-    memo, deltas = fan.table("normal_forms", lambda: ({}, {}), mixing)
+    memo, relations = fan.table("normal_forms", lambda: ({}, {}), mixing)
 
     def step(monomial):
         """monomial's normal form when it needs no elimination, else the
@@ -134,10 +132,11 @@ def _normal_forms(fan: Fan, mixing: MixingMap):
         k = next(k for k in range(len(monomial) - 1) if monomial[k] == monomial[k + 1])
         rest = monomial[:k] + monomial[k + 1 :]
         sigma_star = next(s for s in fan.cones_containing(cone) if s.dim == n)
-        m, others = _elimination(fan, sigma_star, monomial[k])
-        if m not in deltas:
-            deltas[m] = mixing.delta(m)
-        return deltas[m], rest, [(-c, tuple(sorted(rest + (j,)))) for j, c in others]
+        m = _elimination(fan, sigma_star, monomial[k])
+        if m not in relations:
+            relations[m] = relation_at(fan, mixing, fan.zero_cone(), m)
+        terms = ((fan.cone_key(ray), c) for ray, c in relations[m].lhs.items())  # 1 at monomial[k]
+        return relations[m].rhs, rest, [(-c, tuple(sorted(rest + j))) for j, c in terms if j != (monomial[k],)]
 
     def _normal_form(monomial) -> dict:
         stack, steps = [monomial], {}  # steps: the eliminations under way

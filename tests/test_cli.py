@@ -145,6 +145,42 @@ def test_mw_product_needs_two_weights(capsys):
     assert code == 2
 
 
+def rank_zero_problem(tmp_path):
+    """A rank-0 bundle over P^2 with the weights 1 and h and the zero
+    sublattice: Z^0 has one vector, (), and it is generic."""
+    data = {
+        "lattice_rank": 0, "rays": [], "cones": [], "mixing": [], "sublattice": [],
+        "base_algebra": {"type": "projective", "dim": 2, "generator": "h"},
+        "weights": [{"codim": 0, "values": {"[]": "1"}}, {"codim": 1, "values": {"[]": "h"}}],
+    }
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_rank_zero_search_takes_the_zero_vector(capsys, tmp_path):
+    path = rank_zero_problem(tmp_path)
+    code, doc = run_json(capsys, "mw-product", path)
+    assert code == 0
+    assert doc["outputs"] == {"codim": 1, "values": {"[]": "h"}}
+    assert doc["diagnostics"] == {"v": [], "generic": True, "search_attempts": 1}
+    code, doc = run_json(capsys, "subbundle", path)
+    assert code == 0
+    assert doc["outputs"] == {"[]": 1}
+    assert doc["diagnostics"] == {"v": [], "search_attempts": 1}
+
+
+def test_rank_zero_cross_check_exits_4(capsys, tmp_path):
+    # rank 0 has no second vector, so the cross-check stops at once
+    code, doc = run_json(capsys, "mw-product", rank_zero_problem(tmp_path), "--cross-check")
+    assert code == 4
+    assert doc["error"] == {
+        "kind": "genericity",
+        "message": "--cross-check needs a second generic vector, and rank 0 has only ()",
+    }
+    assert "outputs" not in doc
+
+
 # ---------------------------------------------------------------------------
 # equivariant commands
 

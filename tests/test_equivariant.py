@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import torbun as tb
-from torbun.equivariant import cone_equivariant_multiplicity
+from torbun.equivariant import _simplices, cone_equivariant_multiplicity
 from torbun.lattice import dot
 from torbun.polynomials import LinearFraction, Polynomial
 from torbun.problem import parse_problem
@@ -29,6 +29,7 @@ from conftest import (
     shear,
 )
 from quotient_oracle import quotient_map
+from test_fans import fan_product, fan_spec
 
 
 def x(i, n=2):
@@ -212,6 +213,46 @@ def test_multiplicities_match_star_route():
             shapes.add((sigma.ambient_rank, sigma.is_simplicial, tau.is_simplicial))
     # non-simplicial cones along simplicial and non-simplicial faces
     assert {(3, False, True), (3, False, False), (4, False, True), (4, False, False)} <= shapes, shapes
+
+
+def four_cube_fan(rng=None):
+    """Face fan of the 4-cube [-1,1]^4: eight cones over 3-cubes, each pair
+    of neighbours meeting in a cone over a square.  Given an rng, each cone
+    lists its rays in a shuffled order."""
+    corners = list(itertools.product((1, -1), repeat=4))
+    cones = [[i for i, r in enumerate(corners) if r[k] == sign] for k in range(4) for sign in (1, -1)]
+    for ix in cones if rng else ():
+        rng.shuffle(ix)
+    return tb.fan_from_ray_lists(4, corners, cones)
+
+
+def restriction(simplices, tau):
+    """The simplices that a triangulation of a cone, as kept by
+    _simplices, cuts out of its face tau."""
+    on_tau = (frozenset(r for r in rays if r in tau.rays) for rays, _, _ in simplices)
+    return {t for t in on_tau if len(t) == tau.dim}
+
+
+def test_kept_triangulations_agree_on_common_faces():
+    # a fan built from ray lists builds each cone on its rays in sorted
+    # order, one global order whatever order the input lists them in; a
+    # placing triangulation for a global order restricts to each face as
+    # that face's placing triangulation (De Loera, Rambau and Santos,
+    # Triangulations, ch. 4), so the triangulations kept on two maximal
+    # cones cut their common face into the same simplices
+    p1 = tb.fan_from_ray_lists(1, [(1,), (-1,)], [(0,), (1,)])
+    fans = fixture_and_ladder_fans() + [four_cube_fan(), four_cube_fan(random.Random(5))]
+    fans.append(tb.fan_from_ray_lists(*fan_spec(fan_product(cube_fan(), p1))))
+    non_simplicial = 0
+    for fan in fans:
+        full = [s for s in fan.maximal_cones if s.dim == fan.ambient_rank]
+        for s1, s2 in itertools.combinations(full, 2):
+            tau = fan.common_face(s1, s2)
+            first, second = (restriction(_simplices(s), tau) for s in (s1, s2))
+            assert first == second and first, (fan, s1, s2)
+            non_simplicial += not tau.is_simplicial
+    # 24 squares in each 4-cube fan, and 6 cones over squares in cube x P^1
+    assert non_simplicial == 2 * 24 + 6, non_simplicial
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from torbun.problem import parse_problem
 from torbun.lattice import dot
 
 from conftest import (
+    F1_MAX_CONES,
+    F1_RAYS,
     FIXTURES,
     P1_CUBED_RAYS,
     cube_fan,
@@ -388,6 +390,63 @@ def test_cold_sheared_p1_cubed_build_work_counts(monkeypatch):
     assert counts == {"pairs": 12 * 28}, counts
 
 
+# each ladder fan, with the rational eliminations of one cold build and one
+# generic-vector search: the given cones are kept, no zero cone is built
+# twice, and span keys are the kernels the cones already took
+LADDER_RREF_CALLS = {
+    "F1": (lambda: tb.fan_from_ray_lists(2, F1_RAYS, F1_MAX_CONES), 25),
+    "(P^1)^3": (p1_cubed_fan, 59),
+    "P^4": (lambda: projective_space_fan(4), 83),
+    "cube": (cube_fan, 124),
+    "(P^1)^4": (p1_fourth_fan, 161),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_RREF_CALLS))
+def test_one_cone_object_per_cone(monkeypatch, name):
+    build, bound = LADDER_RREF_CALLS[name]
+    calls, given = Counter(), []
+    rref, init, cone_from_rays = tb.lattice._rref, tb.Cone.__init__, tb.fans.cone_from_rays
+
+    def counted_rref(rows):
+        calls["rref"] += 1
+        return rref(rows)
+
+    def counted_init(cone, *args):
+        calls["cones"] += 1
+        init(cone, *args)
+
+    def recorded_cone_from_rays(*args):
+        given.append(cone_from_rays(*args))
+        return given[-1]
+
+    monkeypatch.setattr(tb.lattice, "_rref", counted_rref)
+    monkeypatch.setattr(tb.Cone, "__init__", counted_init)
+    monkeypatch.setattr(tb.fans, "cone_from_rays", recorded_cone_from_rays)
+    clear_torbun_memos()
+    fan = build()
+    assert calls["cones"] == len(fan.cones), calls
+    tb.find_generic_vector(fan, random.Random(0))
+    assert calls["rref"] <= bound, calls
+    assert given and all(c is fan.cone_by_ray_indices(fan.cone_key(c)) for c in given)
+    assert fan.zero_cone() is fan.cones[0] and fan.zero_cone().is_zero
+    for c in fan.cones:
+        assert list(c.rays) == sorted(c.rays), c
+        assert c.kernel == tb.lattice.rational_kernel(fan.ambient_rank, c.rays), c
+    n = fan.ambient_rank
+    outside = tb.cone_from_rays(n, [(1,) * n, (2,) + (1,) * (n - 1)])
+    with pytest.raises(tb.ConeNotInFan):
+        fan.cone_key(outside)
+
+
+def test_fan_given_no_cone_has_the_zero_cone():
+    for n in range(3):
+        for cones in ([], iter([])):
+            fan = tb.Fan(n, cones)
+            assert fan.cones == (tb.zero_cone(n),) and fan.zero_cone() is fan.cones[0]
+            assert tb.is_complete(fan) == (n == 0)
+
+
 # ---------------------------------------------------------------------------
 # faces built from their maximal cones
 
@@ -448,12 +507,13 @@ def assert_faces_match_subset_walk(rank, rays, cones):
     """faces_of each input cone, and every cone of the fan on them, have
     exactly the subset walk's ray sets, and its facet normals in the same
     order; each face of the fan comes from the first input cone it is a
-    face of.  is_face agrees with the walk on every set of at most two rays."""
+    face of, taken on its rays in sorted order.  is_face agrees with the
+    walk on every set of at most two rays."""
     fan = tb.fan_from_ray_lists(rank, rays, cones)
     built = {}
     for ix in cones:
         sigma = tb.cone_from_rays(rank, [rays[i] for i in ix])
-        subset_walk_faces(sigma, built)
+        subset_walk_faces(tb.cone_from_rays(rank, sorted(sigma.rays)), built)
         faces = tb.faces_of(sigma)
         got = {frozenset(f.rays): (f.rays, f.facet_normals) for f in faces}
         want = subset_walk_faces(sigma, {})

@@ -32,6 +32,7 @@ from conftest import (
 )
 from quotient_oracle import normal_generator
 from test_equivariant import fixture_and_ladder_fans, pl_function, random_compatible_pp
+from test_fans import fan_product
 
 
 @pytest.fixture(scope="module")
@@ -531,6 +532,73 @@ def test_zero_weight_product_certifies_the_vector(f1_fan, base_algebra, mixing, 
     zero = tb.MinkowskiWeight(fan, base_algebra, mixing, 1, {})
     assert tb.mw_product(zero, zero, (2, 1)).is_zero()
     assert fan._tables["displacement_table"] == ((2, 1), {})
+
+
+# ---------------------------------------------------------------------------
+# the relative Kunneth property
+
+
+def divisor_weights(fan, mixing):
+    """The unit weight with the monomial (), then for each ray j the weight
+    of its Courant function (1 on ray j, 0 on the other rays), scaled to
+    integer pieces, with the monomial (j,): on a smooth fan the scale is 1
+    and the weight is dual to D_j."""
+    weights = [(tb.unit_weight(fan, mixing.algebra, mixing), ())]
+    for j, ray in enumerate(fan.rays):
+        pieces = {}
+        for sigma in fan.maximal_cones:
+            X, d = tb.lattice.solve_scaled(sigma.rays, [int(r == ray) for r in sigma.rays])
+            pieces[sigma] = [Fraction(a, d) for a in X]
+        scale = math.lcm(*(c.denominator for piece in pieces.values() for c in piece))
+        pieces = {s: tb.Polynomial.linear_form([int(c * scale) for c in piece]) for s, piece in pieces.items()}
+        weights.append((tb.pp_to_mw(tb.PiecewisePolynomial(fan, 1, pieces), mixing), (j,)))
+    return weights
+
+
+def exterior_product(W1, W2, product, mixing):
+    """(W1 x W2)(tau1 x tau2) = W1(tau1) W2(tau2) on the product fan, whose
+    rays are those of W1's fan followed by those of W2's."""
+    shift = len(W1.fan.rays)
+    values = {}
+    for t1, a in W1.values.items():
+        for t2, b in W2.values.items():
+            key = W1.fan.cone_key(t1) + tuple(shift + j for j in W2.fan.cone_key(t2))
+            values[product.cone_by_ray_indices(key)] = a * b
+    return tb.MinkowskiWeight(product, mixing.algebra, mixing, W1.codim + W2.codim, values)
+
+
+def test_products_over_one_base_satisfy_relative_kunneth():
+    # the relative Kunneth property: over one base, here P^3 with random
+    # mixing rows, the pullbacks p1*w1 = w1 x [fan2] and p2*w2 = [fan1] x w2
+    # multiply to the exterior product w1 x w2, and every exterior weight is
+    # balanced; on a smooth product, w1 x w2 is also the ring oracle's dual
+    # of the product monomial
+    rng = random.Random(6)
+    p3 = tb.projective_space_algebra(3, "h")
+    h = p3.basis_element("h")
+    f1 = tb.fan_from_ray_lists(2, F1_RAYS, F1_MAX_CONES)
+    p1, p2 = projective_space_fan(1), projective_space_fan(2)
+    singular = parse_problem((FIXTURES / "singular_fan.json").read_text()).fan
+    checked = Counter()
+    for fan1, fan2 in ((f1, p2), (f1, p1), (p2, p2), (singular, p1), (singular, f1)):
+        rows1, rows2 = ([h * rng.randint(-2, 2) for _ in range(fan.ambient_rank)] for fan in (fan1, fan2))
+        mix1, mix2, mix = tb.MixingMap(p3, rows1), tb.MixingMap(p3, rows2), tb.MixingMap(p3, rows1 + rows2)
+        product = fan_product(fan1, fan2)
+        v, _attempts = tb.find_generic_vector(product, rng)
+        weights1, weights2 = divisor_weights(fan1, mix1), divisor_weights(fan2, mix2)
+        unit1, unit2 = weights1[0][0], weights2[0][0]
+        for w1, monomial1 in weights1:
+            for w2, monomial2 in weights2:
+                pullbacks = exterior_product(w1, unit2, product, mix), exterior_product(unit1, w2, product, mix)
+                want = exterior_product(w1, w2, product, mix)
+                assert all(tb.check_balancing(W).ok for W in (*pullbacks, want))
+                assert tb.mw_product(*pullbacks, v) == want, (product, w1, w2)
+                checked["products"] += 1
+                if product.is_smooth():
+                    monomial = monomial1 + tuple(len(fan1.rays) + j for j in monomial2)
+                    assert tb.poincare_dual_mw(product, mix, monomial) == want, (product, monomial)
+                    checked["smooth"] += 1
+    assert checked == {"products": 5 * 4 + 5 * 3 + 4 * 4 + 5 * 3 + 5 * 5, "smooth": 5 * 4 + 5 * 3 + 4 * 4}
 
 
 # ---------------------------------------------------------------------------
