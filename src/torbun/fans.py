@@ -9,18 +9,18 @@ each cone is one object.  Validation checks that pairs of maximal cones
 meet in common faces: by a separating functional made of either cone's
 facet normals where that one separates, else by the same brute-force
 enumeration modulo the common face; completeness reads the fan's ridges.
-Genericity of displacement vectors is decided against walls computed once
-per fan, spans keyed by their cones' kernels, one kernel per distinct union
-of two cones' rays.  Placing triangulations work on ray tuples, with
-kernels and facet normals only, and simplex multiplicities are gcds of
-maximal minors, read off an integer echelon form.  A cone's dimension and
-span normals come from its rational kernel, and a Smith form only where
-its perp has rank >= 2; its sublattice is taken on first read, which only
-that Smith route makes: displacement and subbundle indices are gcds of
-minors of span normals.  What is derived from a cone is kept on the Cone,
-and what is derived from a fan on the Fan; a fan owns its cones, so both
-die with the fan, and no module-level memo keeps cones.  All of it is
-exact integer and rational linear algebra.
+The diagonal's genericity walls are computed once per fan, spans keyed by
+their cones' kernels, one kernel per distinct union of two cones' rays; a
+subbundle's on each call, one kernel per distinct cone span.  One routine,
+`_displaced_meet`, decides and indexes the displacement product's cone
+pairs and a subbundle's cones: a rational solve, facet tests, and the gcd
+of the maximal minors of stacked span normals.  Placing triangulations use
+kernels and facet normals only.  A cone's dimension and span normals come
+from its rational kernel, and a Smith form only where its perp has rank
+>= 2; its sublattice, which only that route makes, is taken on first read.
+What is derived from a cone is kept on the Cone, and what from a fan on
+the Fan; a fan owns its cones, so both die with the fan, and no module
+memo keeps cones.  All of it is exact integer and rational linear algebra.
 """
 
 from __future__ import annotations
@@ -537,6 +537,37 @@ def simplex_multiplicity(rays) -> int:
     return out
 
 
+def _displaced_meet(normals1, normals2, v, facets1, facets2, *, transverse=False):
+    """The fan displacement rule for the spans S_i with lattice perp bases
+    normals_i: [Z^n : L_1 + L_2], L_i = S_i cap Z^n, if the point x_1 of S_1
+    with x_1 - v in S_2 has <u, x_1> >= 0 on facets1 and <u, x_1 - v> >= 0
+    on facets2, else None.
+
+    With no x_1, v is off S_1 + S_2 and nothing meets; a `transverse` caller
+    knows S_1 + S_2 = Q^n, so there that is an InvariantViolation.  x_1 is
+    unique modulo S_1 cap S_2, which the facets vanish on; they are read only
+    after the solve, which gives d x_1 in integers, d > 0.  Callers reach an
+    index only where S_1 + S_2 = Q^n.  Then L_1 meets L_2 in L, saturated of
+    rank dim(S_1 cap S_2), and the index is [Z^n/L : L_1/L + L_2/L], for
+    saturated lattices of complementary ranks whose perps in the dual perp(L)
+    of Z^n/L have the bases normals_i.  A saturated lattice's maximal minors
+    and the complementary ones of its perp agree up to sign (Jacobi's theorem
+    on the minors of a unimodular matrix and its inverse), so by Laplace
+    expansion the index is |det(normals_1, normals_2)| in a basis of perp(L):
+    the gcd of the stacked normals' maximal minors, their simplex_multiplicity.
+    """
+    rows = normals1 + normals2
+    rhs = [0] * len(normals1) + [dot(w, v) for w in normals2]
+    solution = solve_scaled(rows, rhs) if rows else ([0] * len(v), 1)
+    if solution is None:
+        check_invariant(not transverse, "transverse spans with no displaced meet")
+        return None
+    x1, d = solution
+    if all(dot(u, x1) >= 0 for u in facets1) and all(dot(u, x1) >= d * dot(u, v) for u in facets2):
+        return simplex_multiplicity(rows)
+    return None
+
+
 def triangulate(sigma: Cone):
     """Placing triangulation on the ray order as given, as cones: see
     triangulate_rays."""
@@ -620,8 +651,8 @@ def find_generic_vector(fan: Fan, rng, is_generic=None):
 
 
 class SigmaVResult:
-    """Cones meeting an affine translate of a subspace in a single point,
-    and the cones whose wall contains the translation vector."""
+    """Cones meeting an affine translate of a subspace in a single point, each
+    with its index, and the cones whose wall contains the translation vector."""
 
     def __init__(self, cones, generic, offending):
         self.cones = cones
@@ -635,12 +666,12 @@ def sigma_v_set(fan: Fan, N: Sublattice, v) -> SigmaVResult:
 
     v is generic when it lies on no wall span(sigma) + span(N) != Q^n;
     `offending` lists the cones whose wall contains v, in fan order.  A cone
-    of dimension codim N with span(sigma) + span(N) = Q^n meets span(N) + v
-    in span(sigma) at one point, found by one rational solve; `cones` lists
-    those cones whose point satisfies their facet inequalities.  At a generic
-    v these are exactly the cones meeting span(N) + v in a single point.  At
-    a non-generic v, `cones` is still that list, which may then miss a cone
-    meeting span(N) + v in a single point.
+    of dimension codim N with no wall meets span(N) + v in one point, and
+    `cones` maps those whose point passes their facets, in fan order, to
+    the index [Z^n : N_sigma + N], both by `_displaced_meet`.  At a generic
+    v these are exactly the cones meeting span(N) + v in a single point; at
+    another v the map may miss one.  The walls, one kernel per distinct
+    cone span, are computed again on every call.
     """
     v = tuple(v)
     n = fan.ambient_rank
@@ -649,9 +680,9 @@ def sigma_v_set(fan: Fan, N: Sublattice, v) -> SigmaVResult:
     if not is_saturated(N):
         raise NotSaturated("the subbundle sublattice must be saturated")
     codim = n - N.rank
-    N_normals = rational_kernel(n, N.basis)
+    N_normals = tuple(perp_basis(N))
     walls = {}  # a cone span's kernel -> normals of its wall with N, None if no wall
-    cones, offending = [], []
+    cones, offending = {}, []
     for cone in fan.cones:
         if cone.kernel not in walls:
             walls[cone.kernel] = rational_kernel(n, cone.rays + N.basis) or None
@@ -660,10 +691,6 @@ def sigma_v_set(fan: Fan, N: Sublattice, v) -> SigmaVResult:
             if not any(dot(u, v) for u in normals):
                 offending.append(cone)
         elif cone.dim == codim:
-            # the point x of span(sigma) with x - v in span(N)
-            rhs = [0] * len(cone.span_normals) + [dot(u, v) for u in N_normals]
-            x, _d = solve_scaled(list(cone.span_normals) + list(N_normals), rhs)
-            if all(dot(u, x) >= 0 for u in cone.facet_normals):
-                cones.append(cone)
+            if index := _displaced_meet(cone.span_normals, N_normals, v, cone.facet_normals, (), transverse=True):
+                cones[cone] = index
     return SigmaVResult(cones, not offending, offending)
-

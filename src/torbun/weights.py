@@ -9,8 +9,8 @@ lift n of the normal generator n_sigma/tau, and needs no quotient lattice.
 The relations are built once per fan and mixing map and kept on the fan;
 balancing and the presentations read them.
 Products sum over the cone pairs that still meet after a certified generic
-displacement, deciding only pairs where both weights are nonzero, each by
-one rational solve, and indexing each by the two cones' span normals.
+displacement, deciding only pairs where both weights are nonzero; each is
+decided and indexed by `fans._displaced_meet`, as subbundle classes are.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Optional
 
 from .algebra import AlgebraElement, GradedAlgebra, MixingMap
 from .errors import BalancingError, FanNotComplete, InvariantViolation, NonGenericVector
-from .fans import Cone, Fan, _ConeTable, is_complete, is_generic_diagonal, sigma_v_set, simplex_multiplicity
-from .lattice import Sublattice, Vec, dot, perp_basis, solve_scaled
+from .fans import Cone, Fan, _ConeTable, _displaced_meet, is_complete, is_generic_diagonal, sigma_v_set
+from .lattice import Sublattice, Vec, dot
 
 
 class MinkowskiWeight:
@@ -236,40 +236,16 @@ def _candidates_at(fan: Fan, tau: Cone):
 def _pair_index(fan: Fan, decided: dict, v: Vec, tau: Cone, s1: Cone, s2: Cone):
     """[N : N_s1 + N_s2] if s1 meets s2 + v, else None; kept in `decided`.
 
-    Write S_i = span(s_i), T = span(tau).  Translating by points of tau
-    shows that s1 meets s2 + v iff their images meet in Q^n / T.  If
-    x1 - x2 = v has no solution with x_i in S_i, they do not meet.  If it
-    has one, v lies in S_1 + S_2, which is then Q^n since v is on no wall;
-    so S_1 and S_2 meet in T, x1 is unique modulo T, and the pair meets iff
-    <u, x_i> >= 0 for the facet normals u of s_i that vanish on tau.  The
-    solve returns d * x1 in integers, d > 0, so the test is on d * x1 and
-    d * x2 = d * x1 - d * v.
-
-    The index [N : N_1 + N_2], N_i = N_s_i, is that of the rows of the
-    perp bases P_i = s_i.span_normals in their saturation, the gcd of their
-    maximal minors.  N_1 meets N_2 in L, saturated of rank dim(tau), so
-    the index is [N/L : N_1/L + N_2/L], the determinant of two saturated
-    lattices of complementary ranks; their perps in the dual lattice
-    perp(L) of N/L are P_1 and P_2.  The maximal minors of a saturated
-    lattice and the complementary ones of its perp agree up to sign
-    (Jacobi's theorem on the minors of a unimodular matrix and of its
-    inverse), so by Laplace expansion the index is |det(P_1, P_2)| in a
-    basis of perp(L): the gcd above.  It is finite as S_1 + S_2 = Q^n.
+    Translating by points of tau shows that s1 meets s2 + v iff their
+    images meet in Q^n / span(tau).  Where span(s1) and span(s2) + v meet,
+    v lies in span(s1) + span(s2), which is then Q^n since v is on no wall;
+    so the spans meet in span(tau), and the pair meets iff the point passes
+    the facet normals of each s_i that vanish on tau: `_displaced_meet`.
     """
     key = (tau, s1, s2)
     if key not in decided:
-        # x1 in S_1 and x1 - v in S_2
-        rows = list(s1.span_normals) + list(s2.span_normals)
-        rhs = [0] * len(s1.span_normals) + [dot(w, v) for w in s2.span_normals]
-        solution = solve_scaled(rows, rhs) if rows else ([0] * fan.ambient_rank, 1)
-        index = None
-        if solution is not None:
-            x1, d = solution
-            x2 = [a - d * b for a, b in zip(x1, v)]
-            if all(dot(u, x) >= 0 for s, x in ((s1, x1), (s2, x2)) for u in s.facet_normals
-                   if not any(dot(u, r) for r in tau.rays)):
-                index = simplex_multiplicity(rows)
-        decided[key] = index
+        facets = [(u for u in s.facet_normals if not any(dot(u, r) for r in tau.rays)) for s in (s1, s2)]
+        decided[key] = _displaced_meet(s1.span_normals, s2.span_normals, v, *facets)
     return decided[key]
 
 
@@ -316,9 +292,8 @@ def subbundle_class(fan: Fan, N: Sublattice, v) -> StratumClassSum:
     """Class of the rank-N toric subbundle as a combination of strata.
 
     The support is the set of cones meeting span(N) + v in one point; the
-    coefficient on such a cone is the index [ambient : N_cone + N].  That
-    index is the gcd of the maximal minors of the cone's span normals
-    together with a basis of perp(N), as in `_pair_index` with L = 0.
+    coefficient on such a cone is the index [ambient : N_cone + N], which
+    `sigma_v_set` reads off the same displaced meet (`fans._displaced_meet`).
     """
     v = tuple(v)
     result = sigma_v_set(fan, N, v)
@@ -328,7 +303,4 @@ def subbundle_class(fan: Fan, N: Sublattice, v) -> StratumClassSum:
             f"vector {v} is not generic for the sublattice: it lies on the wall "
             f"span(cone {fan.cone_key(bad)}) + span(sublattice)"
         )
-    # the cones of a generic v are transverse to N, so every index is finite
-    N_normals = tuple(perp_basis(N))
-    terms = {cone: simplex_multiplicity(cone.span_normals + N_normals) for cone in result.cones}
-    return StratumClassSum(fan, terms)
+    return StratumClassSum(fan, result.cones)

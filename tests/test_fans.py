@@ -737,10 +737,10 @@ def test_walls_stricter_than_fm_off_complete_fans():
 
 def test_sigma_v_full_sublattice(f1_fan):
     res = tb.sigma_v_set(f1_fan, tb.full_sublattice(2), (0, 0))
-    assert res.cones == [f1_fan.zero_cone()]
+    assert list(res.cones.items()) == [(f1_fan.zero_cone(), 1)]
     assert res.generic
     res2 = tb.sigma_v_set(f1_fan, tb.full_sublattice(2), (2, 1))
-    assert res2.cones == [f1_fan.zero_cone()] and res2.generic
+    assert list(res2.cones.items()) == [(f1_fan.zero_cone(), 1)] and res2.generic
 
 
 def test_sigma_v_diagonal_p1p1(p1p1_fan):
@@ -770,23 +770,47 @@ def fan_product(f1, f2):
     return tb.Fan(n1 + n2, cones, rays=rays, validate=False)
 
 
-def test_sigma_v_matches_single_point_pairs(f1_fan):
+def test_sigma_v_matches_single_point_pairs(f1_fan, p1p1_fan):
     # the diagonal restatement: cones of the product fan meeting the shifted
-    # diagonal in one point correspond to single-point shifted intersections
+    # diagonal in one point correspond to single-point shifted intersections;
+    # on random vectors the diagonal's walls and subbundle class are the
+    # fan's diagonal walls and displacement pairs at the zero cone, indices
+    # included
+    def split(cone):
+        first = frozenset(r[:2] for r in cone.rays if any(r[:2]))
+        second = frozenset(r[2:] for r in cone.rays if any(r[2:]))
+        return first, second
+
     v = (2, 1)
     product = fan_product(f1_fan, f1_fan)
     diag = tb.Sublattice(4, ((1, 0, 1, 0), (0, 1, 0, 1)))
     res = tb.sigma_v_set(product, diag, (v[0], v[1], 0, 0))
-    got = set()
-    for cone in res.cones:
-        first = frozenset(r[:2] for r in cone.rays if any(r[:2]))
-        second = frozenset(r[2:] for r in cone.rays if any(r[2:]))
-        got.add((first, second))
+    got = {split(cone) for cone in res.cones}
     expected = set()
     for s1, s2 in single_point_pairs(f1_fan, v):
         expected.add((frozenset(s1.rays), frozenset(s2.rays)))
     assert got == expected
     assert res.generic
+    generic, indices = Counter(), Counter()
+    for name, fan in (("f1", f1_fan), ("p1p1", p1p1_fan), ("singular", fixture_fan("singular_fan"))):
+        product = fan_product(fan, fan)
+        rng = random.Random(5)
+        for _ in range(40):
+            v = (rng.randint(-9, 9), rng.randint(-9, 9))
+            shifted = v + (0, 0)
+            is_generic = tb.is_generic_diagonal(fan, v)
+            assert tb.sigma_v_set(product, diag, shifted).generic == is_generic, (name, v)
+            if not is_generic:
+                with pytest.raises(tb.NonGenericVector):
+                    tb.subbundle_class(product, diag, shifted)
+                continue
+            got = {split(cone): index for cone, index in tb.subbundle_class(product, diag, shifted).terms.items()}
+            pairs = tb.displacement_pairs(fan, fan.zero_cone(), v)
+            assert got == {(frozenset(s1.rays), frozenset(s2.rays)): index for s1, s2, index in pairs}, (name, v)
+            generic[name] += 1
+            indices[name] += sum(index > 1 for _s1, _s2, index in pairs)
+    assert generic == {"f1": 35, "p1p1": 35, "singular": 35}
+    assert (indices["f1"], indices["p1p1"], indices["singular"]) == (0, 0, 35)
 
 
 # ---------------------------------------------------------------------------

@@ -506,7 +506,7 @@ def test_product_decides_only_supported_pairs(monkeypatch):
         counts["solves"] += 1
         return tb.lattice.solve_scaled(rows, rhs)
 
-    monkeypatch.setattr(tb.weights, "solve_scaled", counted_solve)
+    monkeypatch.setattr(tb.fans, "solve_scaled", counted_solve)
     fan = p1_cubed_fan()
     mixing = tb.MixingMap(p1, [h, h, p1.zero()])
     W1 = tb.poincare_dual_mw(fan, mixing, [0])
@@ -696,6 +696,39 @@ def test_subbundle_indices_match_smith_sublattices_in_rank_3_and_4():
     assert {(n, k) for n, k, _ in checked} == {(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}, checked
 
 
+def test_subbundle_work_counts(monkeypatch):
+    # work counts, not wall time: with the Smith-form memo warm, a subbundle
+    # class takes one kernel per distinct cone span, one solve per cone of
+    # dimension codim N off every wall and one index per cone in its support
+    cases = {
+        "(P^1)^3": (p1_cubed_fan(), tb.Sublattice(3, ((1, 1, 1),))),
+        "cube": (cube_fan(), tb.Sublattice(3, ((1, 2, 3),))),
+    }
+    counts = Counter()
+    for name in ("rational_kernel", "solve_scaled", "lattice_index"):
+        def counted(*args, name=name, real=getattr(tb.fans, name)):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(tb.fans, name, counted)
+    got = {}
+    for label, (fan, N) in cases.items():
+        u, _attempts = tb.find_generic_vector(fan, random.Random(0), lambda f, u: tb.sigma_v_set(f, N, u).generic)
+        counts.clear()
+        tb.subbundle_class(fan, N, u)
+        got[label] = (counts["rational_kernel"], counts["solve_scaled"], counts["lattice_index"])
+    assert got == {"(P^1)^3": (8, 12, 3), "cube": (12, 12, 3)}
+
+
+def test_subbundle_cone_off_every_wall_must_meet(monkeypatch, p1p1_fan):
+    # a cone of dimension codim N off every wall meets span(N) + v in one
+    # point; a solve that finds none is an invariant violation, not a cone
+    # silently dropped, and the check runs under python -O too
+    monkeypatch.setattr(tb.fans, "solve_scaled", lambda rows, rhs: None)
+    with pytest.raises(tb.InvariantViolation):
+        tb.subbundle_class(p1p1_fan, tb.Sublattice(2, ((1, 1),)), (1, 0))
+
+
 # ---------------------------------------------------------------------------
 # weight construction validation
 
@@ -733,7 +766,7 @@ def test_displacement_work_counts(monkeypatch, f1_fan, mixing):
         counts["solves"] += 1
         return tb.lattice.solve_scaled(rows, rhs)
 
-    monkeypatch.setattr(tb.weights, "solve_scaled", counted_solve)
+    monkeypatch.setattr(tb.fans, "solve_scaled", counted_solve)
     for fan, mix, N in cases:
         W1 = tb.poincare_dual_mw(fan, mix, [0])
         W2 = tb.poincare_dual_mw(fan, mix, [2])
@@ -1079,7 +1112,7 @@ def test_failed_certification_keeps_the_decided_pairs(monkeypatch):
         counts["solves"] += 1
         return tb.lattice.solve_scaled(rows, rhs)
 
-    monkeypatch.setattr(tb.weights, "solve_scaled", counted_solve)
+    monkeypatch.setattr(tb.fans, "solve_scaled", counted_solve)
     fan = p1_cubed_fan(shear(P1_CUBED_RAYS, 0, 1, 1))
     v, _attempts = tb.find_generic_vector(fan, random.Random(0))
     W1, W2 = tb.poincare_dual_mw(fan, MIX, [0]), tb.poincare_dual_mw(fan, MIX, [2, 4])
